@@ -8,6 +8,7 @@
 //! power of two, so tree-PLRU uses its oldest-untouched fallback and
 //! coincides with true LRU here.
 
+use hswx_bench::parallel_map;
 use hswx_engine::SimTime;
 use hswx_haswell::microbench::{pointer_chase, Buffer};
 use hswx_haswell::placement::{Level, Placement};
@@ -35,15 +36,23 @@ fn main() {
         .iter()
         .map(|m| m << 20)
         .collect();
-    let mut fig = Figure::new("ablate_replacement", "ns per load around L3 capacity");
-    for (label, policy) in [
+    let policies = [
         ("true LRU", Replacement::Lru),
         ("tree PLRU", Replacement::TreePlru),
         ("random", Replacement::Random),
-    ] {
+    ];
+    // Each (policy, size) point builds its own system: run the whole grid
+    // in parallel, then regroup it into one series per policy.
+    let jobs: Vec<(Replacement, u64)> = policies
+        .iter()
+        .flat_map(|&(_, p)| sizes.iter().map(move |&s| (p, s)))
+        .collect();
+    let lats = parallel_map(jobs, |&(policy, size)| run(policy, size));
+    let mut fig = Figure::new("ablate_replacement", "ns per load around L3 capacity");
+    for (&(label, _), ys) in policies.iter().zip(lats.chunks_exact(sizes.len())) {
         let mut s = Series::new(label);
-        for &size in &sizes {
-            s.push(size as f64, run(policy, size));
+        for (&size, &y) in sizes.iter().zip(ys) {
+            s.push(size as f64, y);
         }
         fig.add(s);
     }

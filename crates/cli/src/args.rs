@@ -10,8 +10,12 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parse `argv`; boolean flags (`--write`) get the value `"true"`.
-    pub fn parse(argv: &[String], boolean: &[&str]) -> Result<Flags, String> {
+    /// Parse `argv` against the flags a subcommand accepts: `boolean`
+    /// flags (`--write`) take no value and get `"true"`, `value` flags
+    /// (`--mode cod`) take the next argument. Any other `--key` is an
+    /// error naming it, so a typo or a stale flag fails instead of being
+    /// silently ignored.
+    pub fn parse(argv: &[String], boolean: &[&str], value: &[&str]) -> Result<Flags, String> {
         let mut map = HashMap::new();
         let mut positional = Vec::new();
         let mut i = 0;
@@ -20,6 +24,8 @@ impl Flags {
             if let Some(key) = a.strip_prefix("--") {
                 if boolean.contains(&key) {
                     map.insert(key.to_string(), "true".to_string());
+                } else if !value.contains(&key) {
+                    return Err(format!("unknown flag --{key}"));
                 } else {
                     let v = argv
                         .get(i + 1)
@@ -69,7 +75,12 @@ mod tests {
 
     #[test]
     fn parses_flags_and_positionals() {
-        let f = Flags::parse(&argv("file.txt --mode cod --window 8"), &[]).unwrap();
+        let f = Flags::parse(
+            &argv("file.txt --mode cod --window 8"),
+            &[],
+            &["mode", "window"],
+        )
+        .unwrap();
         assert_eq!(f.positional, vec!["file.txt"]);
         assert_eq!(f.get("mode", "source"), "cod");
         assert_eq!(f.get_parse("window", 1u32).unwrap(), 8);
@@ -78,19 +89,28 @@ mod tests {
 
     #[test]
     fn boolean_flags_take_no_value() {
-        let f = Flags::parse(&argv("--write --level mem"), &["write"]).unwrap();
+        let f = Flags::parse(&argv("--write --level mem"), &["write"], &["level"]).unwrap();
         assert!(f.has("write"));
         assert_eq!(f.get("level", "l3"), "mem");
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Flags::parse(&argv("--mode"), &[]).is_err());
+        assert!(Flags::parse(&argv("--mode"), &[], &["mode"]).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        let e = Flags::parse(&argv("--seed 2 --threads 2"), &["quick"], &["seed"]).err();
+        assert_eq!(e.as_deref(), Some("unknown flag --threads"));
+        // A boolean typo is caught too, not read as a value flag.
+        let e = Flags::parse(&argv("--quik"), &["quick"], &["seed"]).err();
+        assert_eq!(e.as_deref(), Some("unknown flag --quik"));
     }
 
     #[test]
     fn bad_parse_reports_flag_name() {
-        let f = Flags::parse(&argv("--window nope"), &[]).unwrap();
+        let f = Flags::parse(&argv("--window nope"), &[], &["window"]).unwrap();
         let e = f.get_parse("window", 1u32).unwrap_err();
         assert!(e.contains("--window"));
     }

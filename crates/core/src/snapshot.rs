@@ -43,11 +43,11 @@ use std::path::Path;
 /// continues its simulated-time series without double-counted or missing
 /// buckets.
 ///
-/// v3 appended the sharded-runtime recovery counters
-/// (`RecoveryStats::shard_restarts` / `shard_watchdog_kills`) so shard
-/// recovery cost survives snapshot/restore like every other recovery
-/// class.
-pub const SYSTEM_SNAPSHOT_SCHEMA: u32 = 3;
+/// v3 appended two sharded-runtime recovery counters.
+///
+/// v4 removed them again with the sharded runtime, so the recovery
+/// section ends at `poison_blocked` as it did in v2.
+pub const SYSTEM_SNAPSHOT_SCHEMA: u32 = 4;
 
 fn corrupt(what: &'static str, detail: String) -> SnapshotError {
     SnapshotError::Corrupt { what, detail }
@@ -532,8 +532,6 @@ impl System {
         w.u64(self.recovery.dir_retries);
         w.u64(self.recovery.hitme_retries);
         w.u64(self.recovery.poison_blocked);
-        w.u64(self.recovery.shard_restarts);
-        w.u64(self.recovery.shard_watchdog_kills);
 
         // `walk_snoop_base` is deliberately absent: it is per-walk scratch
         // (every walk's prologue overwrites it) and snapshots are only
@@ -688,8 +686,6 @@ impl System {
         sys.recovery.dir_retries = r.u64()?;
         sys.recovery.hitme_retries = r.u64()?;
         sys.recovery.poison_blocked = r.u64()?;
-        sys.recovery.shard_restarts = r.u64()?;
-        sys.recovery.shard_watchdog_kills = r.u64()?;
 
         for b in sys.fanout_bins.iter_mut() {
             *b = r.u64()?;
@@ -816,6 +812,24 @@ mod tests {
         // Truncations at every eighth length are typed errors.
         for cut in (0..frame.len()).step_by(8) {
             assert!(System::restore(&frame[..cut]).is_err());
+        }
+    }
+
+    #[test]
+    fn older_schema_frames_are_rejected_with_a_typed_error() {
+        let (sys, _) = warmed(CoherenceMode::SourceSnoop);
+        // Re-stamp a valid frame as v3 and re-seal its digest, so only
+        // the schema field is wrong.
+        let mut v3 = sys.snapshot();
+        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let body_end = v3.len() - 8;
+        let digest = fnv1a64(&v3[..body_end]);
+        v3[body_end..].copy_from_slice(&digest.to_le_bytes());
+        match System::restore(&v3).err() {
+            Some(SnapshotError::UnsupportedSchema { found: 3, expected }) => {
+                assert_eq!(expected, SYSTEM_SNAPSHOT_SCHEMA);
+            }
+            other => panic!("v3 frame must be refused by schema, got {other:?}"),
         }
     }
 

@@ -199,6 +199,14 @@ pub fn relative_runtimes(app: &AppProxy, accesses: usize, seed: u64) -> [f64; 3]
     let src = run_proxy(app, CoherenceMode::SourceSnoop, accesses, seed);
     let hs = run_proxy(app, CoherenceMode::HomeSnoop, accesses, seed);
     let cod = run_proxy(app, CoherenceMode::ClusterOnDie, accesses, seed);
+    relative_to_source([src, hs, cod])
+}
+
+/// Normalize absolute runtimes in [`CoherenceMode::all`] order
+/// (source snoop, home snoop, COD) to source snoop = 1.0 — the second
+/// half of [`relative_runtimes`], for callers that run the three
+/// [`run_proxy`] calls themselves (e.g. in parallel).
+pub fn relative_to_source([src, hs, cod]: [f64; 3]) -> [f64; 3] {
     [1.0, hs / src, cod / src]
 }
 
