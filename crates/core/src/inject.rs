@@ -30,6 +30,7 @@
 
 use crate::calib::Calib;
 use crate::system::System;
+use crate::timing::WalkTiming;
 use hswx_coherence::{DirState, HitMeEntry, LinkRetryPolicy, MesifState};
 use hswx_mem::{LineAddr, NodeId};
 
@@ -194,8 +195,11 @@ impl System {
     }
 
     /// Mutate the calibration constants in place (e.g. make one NaN).
+    /// The walk's pre-rounded timing tables are rebuilt from the result,
+    /// so the next walk already runs on the new values.
     pub fn inject_calib(&mut self, f: impl FnOnce(&mut Calib)) {
         f(&mut self.cal);
+        self.timing = WalkTiming::new(&self.cal, &self.topo);
     }
 
     /// Arm `count` snoop drops: the next `count` peer snoops are swallowed

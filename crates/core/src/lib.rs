@@ -47,6 +47,7 @@ pub mod report;
 pub mod snapshot;
 pub mod spec;
 pub mod system;
+mod timing;
 
 pub use calib::Calib;
 pub use config::{CoherenceMode, ConfigError, SystemConfig};

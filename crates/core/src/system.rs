@@ -11,13 +11,15 @@
 //!
 //! Coherence *decisions* come from `hswx-coherence`'s pure rule tables;
 //! structural *distances* from `hswx-topology`; the nanosecond cost of each
-//! component from [`crate::calib::Calib`].
+//! component from [`crate::calib::Calib`], rounded to picoseconds once per
+//! system (`crate::timing`) so the walks themselves add integers only.
 
 use crate::calib::Calib;
 use crate::config::{ConfigError, SystemConfig};
 use crate::error::SimError;
 use crate::inject::{FaultState, RecoveryStats};
 use crate::monitor::{self, MonitorConfig, Violation};
+use crate::timing::WalkTiming;
 use hswx_coherence::{
     ca_local_action, dir_after_read, dir_after_rfo, fill_state_after_read, ha_read_arrival_plan,
     ha_read_dir_plan, CaAction, CoreState, DataSource, DirState, HitMeCache, HitMeEntry,
@@ -187,6 +189,10 @@ pub struct System {
     pub topo: SystemTopology,
     pub(crate) proto: ProtocolConfig,
     pub(crate) cal: Calib,
+    /// `cal` and the endpoint transit times, pre-rounded to picoseconds
+    /// for the walk path (see `crate::timing`). Rebuilt whenever `cal`
+    /// changes.
+    pub(crate) timing: WalkTiming,
 
     pub(crate) l1: Vec<SetAssocCache<CoreState>>,
     pub(crate) l2: Vec<SetAssocCache<CoreState>>,
@@ -320,6 +326,7 @@ impl System {
             }
         } as usize;
         Ok(System {
+            timing: WalkTiming::new(&cal, &topo),
             topo,
             proto,
             cal,
@@ -343,7 +350,7 @@ impl System {
                 .map(|_| MemoryController::new(cfg.channels_per_ha(), cfg.dram))
                 .collect(),
             qpi: (0..cfg.sockets as usize * cfg.sockets as usize)
-                .map(|_| ThroughputResource::new(cal.qpi_gb_s))
+                .map(|_| ThroughputResource::with_sizes(cal.qpi_gb_s, &[cal.msg_ctl, cal.msg_data]))
                 .collect(),
             l3_port: (0..n_cores)
                 .map(|_| ThroughputResource::new(cal.l3_port_gb_s))
@@ -885,12 +892,10 @@ impl System {
         bytes: u64,
     ) -> SimTime {
         self.walk_steps = self.walk_steps.saturating_add(1);
-        let d = self.topo.distance(from, to);
-        let transit = self.cal.transit(d);
-        if d.qpi > 0 {
-            let sa = self.socket_of_endpoint(from);
-            let sb = self.socket_of_endpoint(to);
-            let idx = sa.0 as usize * self.cfg.sockets as usize + sb.0 as usize;
+        let (transit, sa, sb) =
+            self.timing.route(self.topo.endpoint_index(from), self.topo.endpoint_index(to));
+        if sa != sb {
+            let idx = sa as usize * self.cfg.sockets as usize + sb as usize;
             let serialized = self.qpi[idx].transfer(t, bytes);
             let mut at = serialized + transit;
             let hop_done = at;
@@ -901,7 +906,7 @@ impl System {
                 if retries > 0 {
                     self.recovery.crc_messages += 1;
                     self.recovery.crc_retries += retries as u64;
-                    at += self.ns(retries as f64 * self.cal.t_qpi);
+                    at += SimDuration::from_ns(retries as f64 * self.cal.t_qpi);
                     self.log(at, ProtoStep::LinkRetry { retries });
                 }
                 if !outcome.delivered() {
@@ -926,19 +931,6 @@ impl System {
             self.tap_span::<TRACED>("ring.busy_ps", t, at);
             at
         }
-    }
-
-    fn socket_of_endpoint(&self, e: Endpoint) -> hswx_mem::SocketId {
-        match e {
-            Endpoint::Core(c) => self.topo.socket_of_core(c),
-            Endpoint::Slice(s) => self.topo.socket_of_core(CoreId(s.0)),
-            Endpoint::Ha(h) => hswx_mem::SocketId(h.0 / 2),
-            Endpoint::Qpi(s) => s,
-        }
-    }
-
-    fn ns(&self, x: f64) -> SimDuration {
-        SimDuration::from_ns(x)
     }
 
     // ------------------------------------------------------------------
@@ -1269,7 +1261,7 @@ impl System {
                 }
             }
             self.log(t, ProtoStep::PrivateHit { level: 1 });
-            let out = AccessOutcome { done: t + self.ns(self.cal.t_l1), source: DataSource::SelfL1 };
+            let out = AccessOutcome { done: t + self.timing.cal.t_l1, source: DataSource::SelfL1 };
             self.span_leaf::<TRACED>("l1_hit", "core", t, out.done);
             self.stats.tally_read(out.source);
             return Ok(out);
@@ -1284,7 +1276,7 @@ impl System {
             // Refill L1.
             self.fill_private(core, line, st, t);
             self.log(t, ProtoStep::PrivateHit { level: 2 });
-            let out = AccessOutcome { done: t + self.ns(self.cal.t_l2), source: DataSource::SelfL2 };
+            let out = AccessOutcome { done: t + self.timing.cal.t_l2, source: DataSource::SelfL2 };
             self.span_leaf::<TRACED>("l2_hit", "core", t, out.done);
             self.stats.tally_read(out.source);
             return Ok(out);
@@ -1323,14 +1315,14 @@ impl System {
             }
         }
         let sp = self.span_begin::<TRACED>("f_reclaim", "coherence", t);
-        let t_req = t + self.ns(self.cal.t_miss_path);
+        let t_req = t + self.timing.cal.t_miss_path;
         let t_at_ca = self.send::<TRACED>(t_req, Endpoint::Core(core), Endpoint::Slice(slice), self.cal.msg_ctl);
-        let t_arr = t_at_ca + self.ns(self.cal.t_l3_array);
+        let t_arr = t_at_ca + self.timing.cal.t_l3_array;
         self.span_leaf::<TRACED>("l3_array", "mem", t_at_ca, t_arr);
         let t_data = self.l3_port[slice.0 as usize].transfer(t_arr, 64);
         self.span_leaf::<TRACED>("l3_port", "mem", t_arr, t_data);
         let t_sent = self.send::<TRACED>(t_data, Endpoint::Slice(slice), Endpoint::Core(core), self.cal.msg_data);
-        let done = t_sent + self.ns(self.cal.t_fill);
+        let done = t_sent + self.timing.cal.t_fill;
         self.span_leaf::<TRACED>("fill", "core", t_sent, done);
         self.span_end(sp, done);
         let out = AccessOutcome { done, source: DataSource::LocalL3 };
@@ -1348,20 +1340,20 @@ impl System {
         let node = self.topo.node_of_core(core);
         let local = self.topo.node_local_core(core);
         let slice = self.topo.slice_for_line(line, node);
-        let t_req = t + self.ns(self.cal.t_miss_path);
+        let t_req = t + self.timing.cal.t_miss_path;
         let t_at_ca = self.send::<TRACED>(t_req, Endpoint::Core(core), Endpoint::Slice(slice), self.cal.msg_ctl);
 
         let meta_snapshot = self.l3[slice.0 as usize].access(line).map(|m| *m);
         self.log(t_at_ca, ProtoStep::CaLookup { slice, hit: meta_snapshot.is_some() });
         match ca_local_action(ReqType::Read, meta_snapshot.as_ref(), local) {
             CaAction::ServeFromL3 => {
-                let t_arr = t_at_ca + self.ns(self.cal.t_l3_array);
+                let t_arr = t_at_ca + self.timing.cal.t_l3_array;
                 self.span_leaf::<TRACED>("l3_array", "mem", t_at_ca, t_arr);
                 let t_data = self.l3_port[slice.0 as usize].transfer(t_arr, 64);
                 self.span_leaf::<TRACED>("l3_port", "mem", t_arr, t_data);
                 let t_sent =
                     self.send::<TRACED>(t_data, Endpoint::Slice(slice), Endpoint::Core(core), self.cal.msg_data);
-                let done = t_sent + self.ns(self.cal.t_fill);
+                let done = t_sent + self.timing.cal.t_fill;
                 self.span_leaf::<TRACED>("fill", "core", t_sent, done);
                 // The line can only have vanished between the lookup above
                 // and here through injected corruption; fill Shared and let
@@ -1405,7 +1397,7 @@ impl System {
     ) -> AccessOutcome {
         self.stats.snoops_sent += 1;
         let target = self.topo.cores_of_node(node)[target_local as usize];
-        let t_snp = t_at_ca + self.ns(self.cal.t_l3_tag);
+        let t_snp = t_at_ca + self.timing.cal.t_l3_tag;
         let t_probe_at = self.send::<TRACED>(t_snp, Endpoint::Slice(slice), Endpoint::Core(target), self.cal.msg_ctl);
         let ti = target.0 as usize;
 
@@ -1413,22 +1405,15 @@ impl System {
         // probe at a time.
         let in_l1 = self.l1[ti].peek(line).copied();
         let in_l2 = self.l2[ti].peek(line).copied();
-        let (fwd, probe_ns, occ_ns) = match (in_l1, in_l2) {
-            (Some(CoreState::Modified), _) => (
-                true,
-                self.cal.t_probe + self.cal.t_probe_l1_fwd,
-                self.cal.t_fwd_occ_l1,
-            ),
-            (_, Some(CoreState::Modified)) => (
-                true,
-                self.cal.t_probe + self.cal.t_probe_l2_fwd,
-                self.cal.t_fwd_occ_l2,
-            ),
-            _ => (false, self.cal.t_probe, self.cal.t_fwd_occ_miss),
+        let c = &self.timing.cal;
+        let (fwd, probe, occ) = match (in_l1, in_l2) {
+            (Some(CoreState::Modified), _) => (true, c.t_probe_l1_fwd_total, c.t_fwd_occ_l1),
+            (_, Some(CoreState::Modified)) => (true, c.t_probe_l2_fwd_total, c.t_fwd_occ_l2),
+            _ => (false, c.t_probe, c.t_fwd_occ_miss),
         };
         let t_serve = t_probe_at.max(self.fwd_busy[ti]);
-        self.fwd_busy[ti] = t_serve + self.ns(occ_ns);
-        let t_probe_done = t_serve + self.ns(probe_ns);
+        self.fwd_busy[ti] = t_serve + occ;
+        let t_probe_done = t_serve + probe;
         self.log(t_probe_done, ProtoStep::LocalCoreProbe { target, forwarded: fwd });
         self.span_leaf_with::<TRACED, _>("probe_core", "coherence", t_serve, t_probe_done, || {
             format!("core{} fwd={fwd}", target.0)
@@ -1444,7 +1429,7 @@ impl System {
             }
             let t_sent =
                 self.send::<TRACED>(t_probe_done, Endpoint::Core(target), Endpoint::Core(core), self.cal.msg_data);
-            let done = t_sent + self.ns(self.cal.t_fill);
+            let done = t_sent + self.timing.cal.t_fill;
             self.span_leaf::<TRACED>("fill", "core", t_sent, done);
             if let Some(meta) = self.l3[slice.0 as usize].peek_mut(line) {
                 meta.state = MesifState::Modified; // L3 absorbs the dirty data
@@ -1465,14 +1450,14 @@ impl System {
             }
             let t_resp_at_ca =
                 self.send::<TRACED>(t_probe_done, Endpoint::Core(target), Endpoint::Slice(slice), self.cal.msg_ctl);
-            let t_arr = t_at_ca + self.ns(self.cal.t_l3_array);
+            let t_arr = t_at_ca + self.timing.cal.t_l3_array;
             self.span_leaf::<TRACED>("l3_array", "mem", t_at_ca, t_arr);
             let t_array = self.l3_port[slice.0 as usize].transfer(t_arr, 64);
             self.span_leaf::<TRACED>("l3_port", "mem", t_arr, t_array);
             let t_data = t_resp_at_ca.max(t_array);
             let t_sent =
                 self.send::<TRACED>(t_data, Endpoint::Slice(slice), Endpoint::Core(core), self.cal.msg_data);
-            let done = t_sent + self.ns(self.cal.t_fill);
+            let done = t_sent + self.timing.cal.t_fill;
             self.span_leaf::<TRACED>("fill", "core", t_sent, done);
             if let Some(meta) = self.l3[slice.0 as usize].peek_mut(line) {
                 meta.add_core(local);
@@ -1503,11 +1488,11 @@ impl System {
             return PeerProbe { resp_at_ha, forward: None, keeps_copy: false };
         }
         let t_sent = match self.faults.take_delay() {
-            Some(delay_ns) => t_sent + self.ns(delay_ns),
+            Some(delay_ns) => t_sent + SimDuration::from_ns(delay_ns),
             None => t_sent,
         };
         let t_at_peer = self.send::<TRACED>(t_sent, from, Endpoint::Slice(pslice), self.cal.msg_ctl);
-        let t_lookup = t_at_peer + self.ns(self.cal.t_l3_tag);
+        let t_lookup = t_at_peer + self.timing.cal.t_l3_tag;
 
         let meta = self.l3[pslice.0 as usize].peek(line).copied();
         let Some(mut m) = meta else {
@@ -1527,22 +1512,15 @@ impl System {
             let ti = target.0 as usize;
             let in_l1 = self.l1[ti].peek(line).copied();
             let in_l2 = self.l2[ti].peek(line).copied();
-            let (from_core, probe_ns, occ_ns) = match (in_l1, in_l2) {
-                (Some(CoreState::Modified), _) => (
-                    true,
-                    self.cal.t_probe + self.cal.t_probe_l1_fwd,
-                    self.cal.t_fwd_occ_l1,
-                ),
-                (_, Some(CoreState::Modified)) => (
-                    true,
-                    self.cal.t_probe + self.cal.t_probe_l2_fwd,
-                    self.cal.t_fwd_occ_l2,
-                ),
-                _ => (false, self.cal.t_probe, self.cal.t_fwd_occ_miss),
+            let c = &self.timing.cal;
+            let (from_core, probe, occ) = match (in_l1, in_l2) {
+                (Some(CoreState::Modified), _) => (true, c.t_probe_l1_fwd_total, c.t_fwd_occ_l1),
+                (_, Some(CoreState::Modified)) => (true, c.t_probe_l2_fwd_total, c.t_fwd_occ_l2),
+                _ => (false, c.t_probe, c.t_fwd_occ_miss),
             };
             let t_serve = t_probe_at.max(self.fwd_busy[ti]);
-            self.fwd_busy[ti] = t_serve + self.ns(occ_ns);
-            let t_probe_done = t_serve + self.ns(probe_ns);
+            self.fwd_busy[ti] = t_serve + occ;
+            let t_probe_done = t_serve + probe;
             self.log(t_probe_done, ProtoStep::PeerCoreProbe { node: peer, target, forwarded: from_core });
             self.span_leaf_with::<TRACED, _>("probe_core", "coherence", t_serve, t_probe_done, || {
                 format!("node{} core{} fwd={from_core}", peer.0, target.0)
@@ -1557,10 +1535,10 @@ impl System {
                 }
                 // Data is forwarded straight from the probed core.
                 let dirty_wb = m.state.is_dirty() || from_core;
-                let t_fwd = t_probe_done + self.ns(self.cal.t_ca_fwd);
+                let t_fwd = t_probe_done + self.timing.cal.t_ca_fwd;
                 let t_sent = self
                     .send::<TRACED>(t_fwd, Endpoint::Core(target), Endpoint::Core(requester_core), self.cal.msg_data);
-                let data_at = t_sent + self.ns(self.cal.t_fill);
+                let data_at = t_sent + self.timing.cal.t_fill;
                 self.span_leaf::<TRACED>("fill", "core", t_sent, data_at);
                 let resp_at_ha =
                     self.send::<TRACED>(t_probe_done, Endpoint::Core(target), Endpoint::Ha(ha), self.cal.msg_ctl);
@@ -1598,17 +1576,17 @@ impl System {
 
         if m.state.can_forward() {
             let dirty = m.state.is_dirty();
-            let t_arr = t_lookup + self.ns(self.cal.t_l3_array);
+            let t_arr = t_lookup + self.timing.cal.t_l3_array;
             self.span_leaf::<TRACED>("l3_array", "mem", t_lookup, t_arr);
             let mut t_data = self.l3_port[pslice.0 as usize].transfer(t_arr, 64);
             self.span_leaf::<TRACED>("l3_port", "mem", t_arr, t_data);
             if let Some(resp) = probe_resp_at_ca {
                 t_data = t_data.max(resp);
             }
-            t_data += self.ns(self.cal.t_ca_fwd);
+            t_data += self.timing.cal.t_ca_fwd;
             let t_sent = self
                 .send::<TRACED>(t_data, Endpoint::Slice(pslice), Endpoint::Core(requester_core), self.cal.msg_data);
-            let data_at = t_sent + self.ns(self.cal.t_fill);
+            let data_at = t_sent + self.timing.cal.t_fill;
             self.span_leaf::<TRACED>("fill", "core", t_sent, data_at);
             let resp_at_ha =
                 self.send::<TRACED>(t_data, Endpoint::Slice(pslice), Endpoint::Ha(ha), self.cal.msg_ctl);
@@ -1647,7 +1625,7 @@ impl System {
     ) -> AccessOutcome {
         let home = self.topo.home_node_of_line(line);
         let ha = self.topo.ha_for_line(line);
-        let t_miss = t_at_ca + self.ns(self.cal.t_l3_tag);
+        let t_miss = t_at_ca + self.timing.cal.t_l3_tag;
         self.span_leaf::<TRACED>("cbo_tag", "coherence", t_at_ca, t_miss);
         self.tap_span::<TRACED>("cbo.tag_busy_ps", t_at_ca, t_miss);
         let all = self.all_nodes();
@@ -1679,7 +1657,7 @@ impl System {
         };
         let pool = &mut self.trackers[ha.0 as usize][remote_req as usize];
         let t_admitted = pool.wait_for_slot(req_at_ha);
-        let mut t_arrival = t_admitted + self.ns(self.cal.t_ha);
+        let mut t_arrival = t_admitted + self.timing.cal.t_ha;
         self.span_leaf::<TRACED>("tracker_wait", "coherence", req_at_ha, t_admitted);
         self.span_leaf::<TRACED>("ha_pipeline", "coherence", t_admitted, t_arrival);
         self.tap_span::<TRACED>("ha.tracker_wait_ps", req_at_ha, t_admitted);
@@ -1691,7 +1669,7 @@ impl System {
         if self.proto.hitme && self.faults.take_hitme_glitch() {
             self.recovery.hitme_retries += 1;
             let before = t_arrival;
-            t_arrival += self.ns(self.cal.t_hitme);
+            t_arrival += self.timing.cal.t_hitme;
             self.span_leaf::<TRACED>("hitme_reread", "coherence", before, t_arrival);
             self.tap::<TRACED>("recovery.hitme_rereads", before, 1);
             self.log(t_arrival, ProtoStep::HitMeRetry);
@@ -1725,7 +1703,7 @@ impl System {
             format!("{row_outcome:?} ch{channel}")
         });
         self.tap_span::<TRACED>("dram.busy_ps", t_arrival, dev_done);
-        let mut dram_done = dev_done + self.ns(self.cal.t_mem_ctl);
+        let mut dram_done = dev_done + self.timing.cal.t_mem_ctl;
         self.span_leaf::<TRACED>("mem_ctl", "mem", dev_done, dram_done);
 
         // Home-snoop-mode probes issued by the HA.
@@ -1733,7 +1711,7 @@ impl System {
         if self.proto.mode == SnoopMode::Home {
             // The local CA probe is a plain ring message; the snoop-issue
             // delay models QPI-bound snoop broadcast arbitration only.
-            let t_issue = t_arrival + self.ns(self.cal.t_home_snoop_issue);
+            let t_issue = t_arrival + self.timing.cal.t_home_snoop_issue;
             if plan.probe_home_ca {
                 let sp = self.span_begin::<TRACED>("snoop", "coherence", t_arrival);
                 let p = self.probe_peer::<TRACED>(home, line, t_arrival, Endpoint::Ha(ha), core, ha);
@@ -1765,7 +1743,7 @@ impl System {
             if self.faults.take_dir_glitch() {
                 self.recovery.dir_retries += 1;
                 let before = dram_done;
-                dram_done += self.ns(self.cal.t_mem_ctl);
+                dram_done += self.timing.cal.t_mem_ctl;
                 self.span_leaf::<TRACED>("dir_ecc_reread", "mem", before, dram_done);
                 self.tap::<TRACED>("recovery.dir_rereads", before, 1);
                 self.log(dram_done, ProtoStep::DirectoryRetry);
@@ -1793,7 +1771,7 @@ impl System {
                     broadcast_snooped = true;
                     // Broadcast can only start once the directory (with the
                     // data) has been read.
-                    let t_issue = dram_done + self.ns(self.cal.t_home_snoop_issue);
+                    let t_issue = dram_done + self.timing.cal.t_home_snoop_issue;
                     let sp = self.span_begin::<TRACED>("snoop", "coherence", t_issue);
                     let p = self.probe_peer::<TRACED>(peer, line, t_issue, Endpoint::Ha(ha), core, ha);
                     self.span_detail(sp, || format!("node{}", peer.0));
@@ -1828,7 +1806,7 @@ impl System {
                 };
                 let t_sent =
                     self.send::<TRACED>(t_mem_ready, Endpoint::Ha(ha), Endpoint::Core(core), self.cal.msg_data);
-                let done = t_sent + self.ns(self.cal.t_fill);
+                let done = t_sent + self.timing.cal.t_fill;
                 self.span_leaf::<TRACED>("fill", "core", t_sent, done);
                 if copies_remain {
                     self.stats.remote_dram_fwd += 1;
@@ -1976,13 +1954,13 @@ impl System {
                 if let Some(s2) = self.l2[ci].peek_mut(line) {
                     *s2 = CoreState::Modified;
                 }
-                return Ok(AccessOutcome { done: t + self.ns(self.cal.t_l1), source: DataSource::SelfL1 });
+                return Ok(AccessOutcome { done: t + self.timing.cal.t_l1, source: DataSource::SelfL1 });
             }
         } else if let Some(st) = self.l2[ci].access(line) {
             if st.can_write() {
                 *st = CoreState::Modified;
                 self.fill_private(core, line, CoreState::Modified, t);
-                return Ok(AccessOutcome { done: t + self.ns(self.cal.t_l2), source: DataSource::SelfL2 });
+                return Ok(AccessOutcome { done: t + self.timing.cal.t_l2, source: DataSource::SelfL2 });
             }
         }
         // Shared hit or miss: needs ownership via the CA.
@@ -1999,20 +1977,20 @@ impl System {
         let node = self.topo.node_of_core(core);
         let local = self.topo.node_local_core(core);
         let slice = self.topo.slice_for_line(line, node);
-        let t_req = t + self.ns(self.cal.t_miss_path);
+        let t_req = t + self.timing.cal.t_miss_path;
         let t_at_ca = self.send::<TRACED>(t_req, Endpoint::Core(core), Endpoint::Slice(slice), self.cal.msg_ctl);
 
         let meta_snapshot = self.l3[slice.0 as usize].access(line).map(|m| *m);
         match ca_local_action(ReqType::Rfo, meta_snapshot.as_ref(), local) {
             CaAction::RfoHitOwned { invalidate_cv } => {
-                let mut t_ready = t_at_ca + self.ns(self.cal.t_l3_array);
+                let mut t_ready = t_at_ca + self.timing.cal.t_l3_array;
                 if invalidate_cv != 0 {
                     t_ready = self.invalidate_local_cores::<TRACED>(node, line, invalidate_cv, t_at_ca, slice);
                 }
                 let t_data = self.l3_port[slice.0 as usize].transfer(t_ready, 64);
                 let done = self
                     .send::<TRACED>(t_data, Endpoint::Slice(slice), Endpoint::Core(core), self.cal.msg_data)
-                    + self.ns(self.cal.t_fill);
+                    + self.timing.cal.t_fill;
                 if let Some(meta) = self.l3[slice.0 as usize].peek_mut(line) {
                     meta.state = MesifState::Modified;
                     meta.cv = 1 << local;
@@ -2025,7 +2003,7 @@ impl System {
                 let t_local = if invalidate_cv != 0 {
                     self.invalidate_local_cores::<TRACED>(node, line, invalidate_cv, t_at_ca, slice)
                 } else {
-                    t_at_ca + self.ns(self.cal.t_l3_tag)
+                    t_at_ca + self.timing.cal.t_l3_tag
                 };
                 let done = self.global_invalidate::<TRACED>(core, line, t_local, slice, node, false);
                 if let Some(meta) = self.l3[slice.0 as usize].peek_mut(line) {
@@ -2116,7 +2094,7 @@ impl System {
                 self.l1[ci].remove(line);
                 self.l2[ci].remove(line);
                 let t_ack = self.send::<TRACED>(
-                    t_at + self.ns(self.cal.t_probe),
+                    t_at + self.timing.cal.t_probe,
                     Endpoint::Core(c),
                     Endpoint::Slice(slice),
                     self.cal.msg_ctl,
@@ -2175,7 +2153,7 @@ impl System {
                 }
             }
             let t_ack = self.send::<TRACED>(
-                t_at + self.ns(self.cal.t_l3_tag),
+                t_at + self.timing.cal.t_l3_tag,
                 Endpoint::Slice(pslice),
                 Endpoint::Slice(slice),
                 self.cal.msg_ctl,
@@ -2215,7 +2193,7 @@ impl System {
         let node = self.topo.node_of_core(core);
         let slice = self.topo.slice_for_line(line, node);
         // Invalidate other cached copies if the line is resident anywhere.
-        let mut t_wc = t + self.ns(self.cal.t_fill);
+        let mut t_wc = t + self.timing.cal.t_fill;
         if let Some(meta) = self.l3[slice.0 as usize].peek(line).copied() {
             let cv = meta.cv & !(1u32 << self.topo.node_local_core(core));
             if cv != 0 {
@@ -2233,7 +2211,7 @@ impl System {
         self.tap_span::<TRACED>("core.wc_drain_ps", t_wc, t_accept);
         let ha = self.topo.ha_for_line(line);
         let t_at_ha = self.send::<TRACED>(t_accept, Endpoint::Core(core), Endpoint::Ha(ha), self.cal.msg_data);
-        let t_mem = t_at_ha + self.ns(self.cal.t_ha);
+        let t_mem = t_at_ha + self.timing.cal.t_ha;
         let (drained, _) = self.mem[ha.0 as usize].access(t_mem, line, true);
         self.span_leaf::<TRACED>("dram_row", "mem", t_mem, drained);
         self.tap_span::<TRACED>("dram.busy_ps", t_mem, drained);
@@ -2244,7 +2222,7 @@ impl System {
             self.hitme[ha.0 as usize].invalidate(line);
         }
         AccessOutcome {
-            done: t_accept + self.ns(self.cal.t_fill),
+            done: t_accept + self.timing.cal.t_fill,
             source: DataSource::Memory(self.topo.home_node_of_line(line)),
         }
     }
@@ -2271,11 +2249,11 @@ impl System {
         let own_dirty = matches!(self.l1[ci].remove(line), Some(CoreState::Modified))
             | matches!(self.l2[ci].remove(line), Some(CoreState::Modified));
 
-        let t_req = t + self.ns(self.cal.t_miss_path);
+        let t_req = t + self.timing.cal.t_miss_path;
         let t_at_ca = self.send::<TRACED>(t_req, Endpoint::Core(core), Endpoint::Slice(slice), self.cal.msg_ctl);
         let local = self.topo.node_local_core(core);
 
-        let mut t_done = t_at_ca + self.ns(self.cal.t_l3_tag);
+        let mut t_done = t_at_ca + self.timing.cal.t_l3_tag;
         let mut dirty = own_dirty;
         if let Some(meta) = self.l3[slice.0 as usize].remove(line) {
             // Invalidate other local cores.
@@ -2294,7 +2272,7 @@ impl System {
         // Write back + directory reset at home.
         let ha = self.topo.ha_for_line(line);
         let t_at_ha = self.send::<TRACED>(t_done, Endpoint::Slice(slice), Endpoint::Ha(ha), self.cal.msg_ctl);
-        let mut t_home_done = t_at_ha + self.ns(self.cal.t_ha);
+        let mut t_home_done = t_at_ha + self.timing.cal.t_ha;
         if dirty {
             let (dev_done, _) = self.mem[ha.0 as usize].access(t_home_done, line, true);
             self.stats.dram_writebacks += 1;

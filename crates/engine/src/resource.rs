@@ -30,6 +30,12 @@ use std::collections::VecDeque;
 pub struct ThroughputResource {
     /// Rate in GB/s (SI).
     rate_gb_s: f64,
+    /// Transfer durations pre-rounded at construction for the sizes this
+    /// resource is booked with (see [`Self::with_sizes`]), so a booking
+    /// of one of them costs a compare instead of the f64 divide and round
+    /// behind [`SimDuration::for_bytes`]. Unused slots hold `(0, 0)`,
+    /// which is exact: zero bytes take zero time at any rate.
+    booked: [(u64, SimDuration); Self::BOOKED_SIZES],
     /// Sorted, disjoint busy intervals `(start_ps, end_ps)`. Adjacent and
     /// overlapping intervals are merged, so under saturation the list stays
     /// tiny (everything coalesces into one blob). Latency-bound callers
@@ -49,17 +55,50 @@ impl ThroughputResource {
     /// dropped (callers never ask about the distant past).
     const MAX_INTERVALS: usize = 1024;
 
-    /// A resource moving data at `rate_gb_s` gigabytes per second.
+    /// Most transfer sizes [`Self::with_sizes`] pre-rounds.
+    const BOOKED_SIZES: usize = 3;
+
+    /// A resource moving data at `rate_gb_s` gigabytes per second, with
+    /// the 64-byte line transfer pre-rounded.
     ///
     /// Panics if the rate is not strictly positive.
     pub fn new(rate_gb_s: f64) -> Self {
+        Self::with_sizes(rate_gb_s, &[64])
+    }
+
+    /// A resource moving data at `rate_gb_s` gigabytes per second whose
+    /// bookings of `sizes` bytes skip the per-call rate conversion. Any
+    /// other size still books correctly, through
+    /// [`SimDuration::for_bytes`].
+    ///
+    /// Panics if the rate is not strictly positive or more than three
+    /// sizes are given.
+    pub fn with_sizes(rate_gb_s: f64, sizes: &[u64]) -> Self {
         assert!(rate_gb_s > 0.0, "throughput rate must be positive");
+        assert!(sizes.len() <= Self::BOOKED_SIZES, "at most {} booked sizes", Self::BOOKED_SIZES);
+        let mut booked = [(0, SimDuration::ZERO); Self::BOOKED_SIZES];
+        for (slot, &bytes) in booked.iter_mut().zip(sizes) {
+            *slot = (bytes, SimDuration::for_bytes(bytes, rate_gb_s));
+        }
         ThroughputResource {
             rate_gb_s,
+            booked,
             intervals: VecDeque::new(),
             busy: SimDuration::ZERO,
             bytes: 0,
         }
+    }
+
+    /// Time to move `bytes` through this resource; always equal to
+    /// `SimDuration::for_bytes(bytes, self.rate_gb_s())`.
+    #[inline]
+    pub fn duration(&self, bytes: u64) -> SimDuration {
+        for &(b, d) in &self.booked {
+            if b == bytes {
+                return d;
+            }
+        }
+        SimDuration::for_bytes(bytes, self.rate_gb_s)
     }
 
     /// Reserve the pipe for `bytes` starting no earlier than `now`.
@@ -73,7 +112,7 @@ impl ThroughputResource {
     /// Like [`transfer`](Self::transfer) but also returns the queueing delay
     /// experienced (`start - now`).
     pub fn transfer_with_wait(&mut self, now: SimTime, bytes: u64) -> (SimTime, SimDuration) {
-        let dur = SimDuration::for_bytes(bytes, self.rate_gb_s);
+        let dur = self.duration(bytes);
         // Monotone fast path: a booking at or after the end of the last
         // interval lands past every existing reservation, so the binary
         // search finds `len`, the gap scan never runs, and the insert is an
@@ -144,78 +183,6 @@ impl ThroughputResource {
         self.busy += dur;
         self.bytes += bytes;
         (SimTime(end), SimTime(start).since(now))
-    }
-
-    /// Book a whole batch of transfers in one pass.
-    ///
-    /// Completion times are appended to `out`, one per request, exactly as
-    /// if each `(at, bytes)` had been passed to [`transfer`](Self::transfer)
-    /// in order. Runs of monotone requests (each starting at or after the
-    /// previous booking's end) are merged locally and written to the
-    /// interval deque as a handful of coalesced spans instead of one
-    /// insertion per request; requests that land before the current tail
-    /// fall back to the gap-fitting scan for that element only, so results
-    /// stay bit-identical to the sequential path for arbitrary inputs.
-    pub fn transfer_batch(&mut self, reqs: &[(SimTime, u64)], out: &mut Vec<SimTime>) {
-        out.reserve(reqs.len());
-        // Pending run of already-merged bookings not yet in the deque.
-        let mut run: Option<(u64, u64)> = None;
-        let mut run_busy = 0u64;
-        let mut run_bytes = 0u64;
-        for &(at, bytes) in reqs {
-            let dur = SimDuration::for_bytes(bytes, self.rate_gb_s);
-            let tail = run
-                .map(|(_, e)| e)
-                .or_else(|| self.intervals.back().map(|&(_, e)| e));
-            match tail {
-                Some(tail_end) if at.0 < tail_end => {
-                    // Out-of-order element: flush the pending run so the
-                    // gap-fitting scan sees the true schedule, then book
-                    // this one through the scalar path.
-                    if let Some((s, e)) = run.take() {
-                        self.push_span(s, e, run_busy, run_bytes);
-                        run_busy = 0;
-                        run_bytes = 0;
-                    }
-                    out.push(self.transfer(at, bytes));
-                }
-                _ => {
-                    let end = at.0 + dur.0;
-                    match run {
-                        Some((_, ref mut e)) if *e == at.0 => *e = end,
-                        Some((s, e)) => {
-                            self.push_span(s, e, run_busy, run_bytes);
-                            run_busy = 0;
-                            run_bytes = 0;
-                            run = Some((at.0, end));
-                        }
-                        None => run = Some((at.0, end)),
-                    }
-                    run_busy += dur.0;
-                    run_bytes += bytes;
-                    out.push(SimTime(end));
-                }
-            }
-        }
-        if let Some((s, e)) = run {
-            self.push_span(s, e, run_busy, run_bytes);
-        }
-    }
-
-    /// Append one already-merged span at the tail (it must start at or
-    /// after the last interval's end), with its accounting.
-    fn push_span(&mut self, s: u64, e: u64, busy: u64, bytes: u64) {
-        match self.intervals.back_mut() {
-            Some(&mut (_, ref mut last_end)) if *last_end == s => *last_end = e,
-            _ => {
-                self.intervals.push_back((s, e));
-                while self.intervals.len() > Self::MAX_INTERVALS {
-                    self.intervals.pop_front();
-                }
-            }
-        }
-        self.busy += SimDuration(busy);
-        self.bytes += bytes;
     }
 
     /// Merge the interval at `idx` with touching neighbours.
@@ -581,6 +548,22 @@ mod tests {
     }
 
     #[test]
+    fn booked_sizes_take_the_same_time_as_for_bytes() {
+        for rate in [10.0, 17.066, 25.0, 38.4] {
+            let r = ThroughputResource::with_sizes(rate, &[16, 80, 64]);
+            for bytes in [0, 1, 16, 63, 64, 80, 4096] {
+                assert_eq!(r.duration(bytes), SimDuration::for_bytes(bytes, rate), "{bytes} B at {rate}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3 booked sizes")]
+    fn too_many_booked_sizes_panics() {
+        ThroughputResource::with_sizes(10.0, &[1, 2, 3, 4]);
+    }
+
+    #[test]
     fn token_pool_bounds_occupancy() {
         let mut p = TokenPool::new(3);
         assert!(p.try_acquire());
@@ -781,51 +764,18 @@ mod proptests {
             prop_assert_eq!(fast.state_tuple(), slow.state_tuple());
         }
 
-        /// `transfer_batch` produces the same completions and the same
-        /// final resource state as booking each request through
-        /// `transfer` one at a time.
+        /// Pre-rounded and unbooked sizes book exactly `for_bytes`, at
+        /// any rate.
         #[test]
-        fn batch_matches_sequential(
-            ops in proptest::collection::vec((0u64..50_000, 1u64..512), 1..200),
-            split in 0usize..200,
+        fn duration_matches_for_bytes(
+            rate in 0.5f64..200.0,
+            sizes in proptest::collection::vec(0u64..4096, 0..=3),
+            probe in 0u64..4096,
         ) {
-            let mut seq = ThroughputResource::new(5.0);
-            let mut expect = Vec::new();
-            for &(at, bytes) in &ops {
-                expect.push(seq.transfer(SimTime(at), bytes));
+            let r = ThroughputResource::with_sizes(rate, &sizes);
+            for &bytes in sizes.iter().chain([probe, 64].iter()) {
+                prop_assert_eq!(r.duration(bytes), SimDuration::for_bytes(bytes, rate));
             }
-            // Book the same requests as two batch calls at an arbitrary
-            // split point (exercises run flushing at the boundary).
-            let reqs: Vec<(SimTime, u64)> =
-                ops.iter().map(|&(at, b)| (SimTime(at), b)).collect();
-            let cut = split.min(reqs.len());
-            let mut bat = ThroughputResource::new(5.0);
-            let mut got = Vec::new();
-            bat.transfer_batch(&reqs[..cut], &mut got);
-            bat.transfer_batch(&reqs[cut..], &mut got);
-            prop_assert_eq!(got, expect);
-            prop_assert_eq!(bat.state_tuple(), seq.state_tuple());
-        }
-
-        /// Sorted (monotone) batches also match — this is the fully merged
-        /// one-span-per-run regime the batch walk engine relies on.
-        #[test]
-        fn monotone_batch_matches_sequential(
-            mut ops in proptest::collection::vec((0u64..50_000, 1u64..512), 1..200)
-        ) {
-            ops.sort_by_key(|&(at, _)| at);
-            let mut seq = ThroughputResource::new(5.0);
-            let mut expect = Vec::new();
-            for &(at, bytes) in &ops {
-                expect.push(seq.transfer(SimTime(at), bytes));
-            }
-            let reqs: Vec<(SimTime, u64)> =
-                ops.iter().map(|&(at, b)| (SimTime(at), b)).collect();
-            let mut bat = ThroughputResource::new(5.0);
-            let mut got = Vec::new();
-            bat.transfer_batch(&reqs, &mut got);
-            prop_assert_eq!(got, expect);
-            prop_assert_eq!(bat.state_tuple(), seq.state_tuple());
         }
 
         /// in_use never exceeds capacity for any acquire/release pattern.

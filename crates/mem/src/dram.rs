@@ -87,10 +87,47 @@ struct Bank {
     busy_until: SimTime,
 }
 
+/// The [`DdrTimings`] an access reads, rounded to picoseconds once per
+/// channel with the same `SimDuration::from_ns` expressions the access
+/// path would otherwise evaluate on every line.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct DramTimesPs {
+    /// tRCD: activate before CAS on a closed bank.
+    closed: SimDuration,
+    /// tRP + tRCD: precharge and activate on a row conflict.
+    conflict: SimDuration,
+    /// tCAS.
+    cas: SimDuration,
+    /// tBurst: the bank's next-column spacing.
+    burst: SimDuration,
+    /// tWR: write recovery.
+    wr: SimDuration,
+    /// tREFI in ps (meaningful only while refresh is on).
+    refi: u64,
+    /// tRFC in ps.
+    rfc: u64,
+}
+
+impl DramTimesPs {
+    fn new(t: &DdrTimings) -> Self {
+        DramTimesPs {
+            closed: SimDuration::from_ns(t.t_rcd),
+            conflict: SimDuration::from_ns(t.t_rp + t.t_rcd),
+            cas: SimDuration::from_ns(t.t_cas),
+            burst: SimDuration::from_ns(t.t_burst),
+            wr: SimDuration::from_ns(t.t_wr),
+            refi: SimDuration::from_ns(t.t_refi).0,
+            rfc: SimDuration::from_ns(t.t_rfc).0,
+        }
+    }
+}
+
 /// One DDR4 channel: banks plus a shared data bus.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DramChannel {
     timings: DdrTimings,
+    /// `timings` pre-rounded for the access path.
+    ps: DramTimesPs,
     banks: Vec<Bank>,
     bus: ThroughputResource,
     pub hits: u64,
@@ -108,6 +145,7 @@ impl DramChannel {
                 .map(|_| Bank { open_row: None, busy_until: SimTime::ZERO })
                 .collect(),
             bus: ThroughputResource::new(timings.bus_gb_s),
+            ps: DramTimesPs::new(&timings),
             timings,
             hits: 0,
             closed: 0,
@@ -139,8 +177,7 @@ impl DramChannel {
         if self.timings.t_refi <= 0.0 {
             return t;
         }
-        let refi = SimDuration::from_ns(self.timings.t_refi).0;
-        let rfc = SimDuration::from_ns(self.timings.t_rfc).0;
+        let (refi, rfc) = (self.ps.refi, self.ps.rfc);
         let into = t.0 % refi;
         if into < rfc {
             SimTime(t.0 - into + rfc)
@@ -154,14 +191,14 @@ impl DramChannel {
     /// Returns the data-available time and the row-buffer outcome.
     pub fn access(&mut self, now: SimTime, line: LineAddr, is_write: bool) -> (SimTime, RowOutcome) {
         let (bank_idx, row) = self.decode(line);
-        let t = &self.timings;
+        let t = self.ps;
         let bank = &self.banks[bank_idx];
         let start = self.after_refresh(now.max(bank.busy_until));
 
-        let (outcome, pre_cas_ns) = match bank.open_row {
-            Some(r) if r == row => (RowOutcome::Hit, 0.0),
-            None => (RowOutcome::Closed, t.t_rcd),
-            Some(_) => (RowOutcome::Conflict, t.t_rp + t.t_rcd),
+        let (outcome, pre_cas) = match bank.open_row {
+            Some(r) if r == row => (RowOutcome::Hit, SimDuration::ZERO),
+            None => (RowOutcome::Closed, t.closed),
+            Some(_) => (RowOutcome::Conflict, t.conflict),
         };
         match outcome {
             RowOutcome::Hit => self.hits += 1,
@@ -174,16 +211,16 @@ impl DramChannel {
             self.reads += 1;
         }
 
-        let cas_issued = start + SimDuration::from_ns(pre_cas_ns);
+        let cas_issued = start + pre_cas;
         // The burst occupies the shared channel bus; data arrives a CAS
         // latency after the column command.
-        let data_done = self.bus.transfer(cas_issued + SimDuration::from_ns(t.t_cas), 64);
+        let data_done = self.bus.transfer(cas_issued + t.cas, 64);
         // The bank can accept its next column command one burst slot after
         // this one (tCCD chaining); it does not hold the bank for the full
         // CAS latency. Writes add write recovery.
-        let mut busy = cas_issued + SimDuration::from_ns(t.t_burst);
+        let mut busy = cas_issued + t.burst;
         if is_write {
-            busy += SimDuration::from_ns(t.t_wr);
+            busy += t.wr;
         }
         let bank = &mut self.banks[bank_idx];
         bank.open_row = Some(row);
@@ -386,6 +423,23 @@ mod tests {
 
     fn ch() -> DramChannel {
         DramChannel::new(DdrTimings::ddr4_2133())
+    }
+
+    #[test]
+    fn pre_rounded_times_equal_the_per_access_expressions() {
+        let odd = DdrTimings { t_cas: 13.75, t_rcd: 13.3333, t_rp: 0.0005, t_burst: 3.7501, ..DdrTimings::ddr4_2133() };
+        for t in [DdrTimings::ddr4_2133(), DdrTimings::ddr4_2133().with_refresh(), odd] {
+            let c = DramChannel::new(t);
+            let ps = c.ps;
+            assert_eq!(ps.closed, SimDuration::from_ns(t.t_rcd));
+            assert_eq!(ps.conflict, SimDuration::from_ns(t.t_rp + t.t_rcd));
+            assert_eq!(ps.cas, SimDuration::from_ns(t.t_cas));
+            assert_eq!(ps.burst, SimDuration::from_ns(t.t_burst));
+            assert_eq!(ps.wr, SimDuration::from_ns(t.t_wr));
+            assert_eq!(ps.refi, SimDuration::from_ns(t.t_refi).0);
+            assert_eq!(ps.rfc, SimDuration::from_ns(t.t_rfc).0);
+            assert_eq!(c.bus.duration(64), SimDuration::for_bytes(64, t.bus_gb_s));
+        }
     }
 
     #[test]

@@ -65,6 +65,11 @@ pub struct SystemTopology {
     stop_dist: Vec<Distance>,
     /// Stops per die in the distance table.
     n_stops: usize,
+    /// First endpoint index of the home agents (see
+    /// [`Self::endpoint_index`]); equals the core count.
+    ep_ha_base: usize,
+    /// First endpoint index of the QPI interfaces.
+    ep_qpi_base: usize,
 }
 
 impl SystemTopology {
@@ -82,6 +87,8 @@ impl SystemTopology {
             node_local_tab: Vec::new(),
             stop_dist: Vec::new(),
             n_stops: 0,
+            ep_ha_base: 0,
+            ep_qpi_base: 0,
         };
         topo.build_caches();
         topo
@@ -90,6 +97,8 @@ impl SystemTopology {
     /// Derive the lookup tables from the structural definitions above.
     fn build_caches(&mut self) {
         let n_cores = self.n_cores() as usize;
+        self.ep_ha_base = n_cores;
+        self.ep_qpi_base = n_cores + 2 * self.dies.len();
         self.node_of_core_tab = (0..n_cores)
             .map(|c| self.node_of_core_uncached(CoreId(c as u16)))
             .collect();
@@ -293,6 +302,45 @@ impl SystemTopology {
         slices[hash::pick(line.0, slices.len())]
     }
 
+    // ---- endpoints ----
+
+    /// Number of distinct endpoint indices (see [`Self::endpoint_index`]).
+    pub fn n_endpoints(&self) -> usize {
+        self.ep_qpi_base + self.dies.len()
+    }
+
+    /// Dense index of `e` for per-endpoint-pair tables: cores first, then
+    /// home agents, then QPI interfaces. A slice shares its index with
+    /// the core at the same ring stop, since every distance treats the
+    /// two alike.
+    #[inline]
+    pub fn endpoint_index(&self, e: Endpoint) -> usize {
+        match e {
+            Endpoint::Core(c) => c.0 as usize,
+            Endpoint::Slice(s) => s.0 as usize,
+            Endpoint::Ha(h) => self.ep_ha_base + h.0 as usize,
+            Endpoint::Qpi(s) => self.ep_qpi_base + s.0 as usize,
+        }
+    }
+
+    /// The endpoint at index `i` (the core, for a shared core/slice
+    /// index); inverse of [`Self::endpoint_index`].
+    pub fn endpoint_at(&self, i: usize) -> Endpoint {
+        assert!(i < self.n_endpoints(), "endpoint index {i} out of range");
+        if i < self.ep_ha_base {
+            Endpoint::Core(CoreId(i as u16))
+        } else if i < self.ep_qpi_base {
+            Endpoint::Ha(HaId((i - self.ep_ha_base) as u8))
+        } else {
+            Endpoint::Qpi(SocketId((i - self.ep_qpi_base) as u8))
+        }
+    }
+
+    /// Socket an endpoint sits on.
+    pub fn socket_of_endpoint(&self, e: Endpoint) -> SocketId {
+        self.endpoint_location(e).0
+    }
+
     // ---- distances ----
 
     fn endpoint_location(&self, e: Endpoint) -> (SocketId, Stop) {
@@ -470,6 +518,28 @@ mod tests {
         ];
         for (a, b) in pairs {
             assert_eq!(t.distance(a, b), t.distance(b, a));
+        }
+    }
+
+    #[test]
+    fn endpoint_indices_are_dense_and_invert() {
+        for variant in [DieVariant::EightCore, DieVariant::TwelveCore, DieVariant::EighteenCore] {
+            for sockets in [2u8, 4] {
+                let t = SystemTopology::new(sockets, variant, true);
+                let n = t.n_endpoints();
+                assert_eq!(n, t.n_cores() as usize + 3 * sockets as usize);
+                for i in 0..n {
+                    let e = t.endpoint_at(i);
+                    assert_eq!(t.endpoint_index(e), i);
+                }
+                for c in 0..t.n_cores() {
+                    let (core, slice) = (Endpoint::Core(CoreId(c)), Endpoint::Slice(SliceId(c)));
+                    assert_eq!(t.endpoint_index(core), t.endpoint_index(slice));
+                    assert_eq!(t.socket_of_endpoint(slice), t.socket_of_core(CoreId(c)));
+                }
+                assert_eq!(t.socket_of_endpoint(Endpoint::Ha(HaId(3))), SocketId(1));
+                assert_eq!(t.socket_of_endpoint(Endpoint::Qpi(SocketId(1))), SocketId(1));
+            }
         }
     }
 

@@ -137,6 +137,7 @@ pub fn run_proxy(app: &AppProxy, mode: CoherenceMode, accesses: usize, seed: u64
     }
 
     // Interleave threads in global time order.
+    let comp = SimDuration::from_ns(app.comp_ns.max(0.4));
     loop {
         let mut best: Option<(usize, SimTime)> = None;
         for (i, th) in threads.iter().enumerate() {
@@ -159,7 +160,7 @@ pub fn run_proxy(app: &AppProxy, mode: CoherenceMode, accesses: usize, seed: u64
             sys.read(th.core, line, slot)
         };
         th.window.occupy_until(out.done);
-        th.issue_t = slot + SimDuration::from_ns(app.comp_ns.max(0.4));
+        th.issue_t = slot + comp;
         th.done = th.done.max(out.done);
         if th.remaining > 0 {
             let (l, w) = th.draw_next(app, &shared);
