@@ -50,9 +50,10 @@ pub(crate) struct FaultState {
     pub(crate) qpi_crc: u32,
     /// Link-layer retransmit bound applied to CRC corruptions.
     pub(crate) link_retry: LinkRetryPolicy,
-    /// Set when a message exhausted the link retry buffer during the walk
-    /// in flight; converted to [`crate::SimError::QpiLinkFailure`] when
-    /// the walk closes.
+    /// Set when a message exhausted the link retry buffer during the op
+    /// in flight; a read/write walk converts it to
+    /// [`crate::SimError::QpiLinkFailure`] when it closes, the infallible
+    /// `write_nt`/`flush` clear it when they return.
     pub(crate) link_failed: Option<u32>,
     /// Pending transient in-memory-directory read glitches (healed by an
     /// ECC re-read, costing one extra memory-controller traversal).

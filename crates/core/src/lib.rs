@@ -42,6 +42,7 @@ pub mod error;
 pub mod inject;
 pub mod microbench;
 pub mod monitor;
+mod observe;
 pub mod placement;
 pub mod report;
 pub mod snapshot;

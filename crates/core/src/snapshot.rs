@@ -547,16 +547,13 @@ impl System {
         // metrics registry stay transient scratch as documented above —
         // the sampler is different because its *contents* are simulation
         // results, not handles.
-        #[cfg(feature = "trace")]
-        match &self.sampler {
+        match self.obs.sampler() {
             Some(s) => {
                 w.bool(true);
                 s.encode(&mut w);
             }
             None => w.bool(false),
         }
-        #[cfg(not(feature = "trace"))]
-        w.bool(false);
 
         w.finish()
     }
@@ -692,15 +689,9 @@ impl System {
         }
 
         if r.bool()? {
-            let sampler = hswx_engine::TelemetrySampler::decode(&mut r)?;
-            // Without the `trace` feature the series is parsed (so the
-            // frame fully validates) but has nowhere to live.
-            #[cfg(feature = "trace")]
-            {
-                sys.sampler = Some(Box::new(sampler));
-            }
-            #[cfg(not(feature = "trace"))]
-            let _ = sampler;
+            // Parsed even without the `trace` feature, so the frame fully
+            // validates.
+            sys.obs.restore_sampler(hswx_engine::TelemetrySampler::decode(&mut r)?);
         }
         r.expect_end()?;
         Ok(sys)

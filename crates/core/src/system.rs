@@ -19,17 +19,14 @@ use crate::config::{ConfigError, SystemConfig};
 use crate::error::SimError;
 use crate::inject::{FaultState, RecoveryStats};
 use crate::monitor::{self, MonitorConfig, Violation};
+use crate::observe::{Comp, Detail, Event, Observer};
 use crate::timing::WalkTiming;
 use hswx_coherence::{
     ca_local_action, dir_after_read, dir_after_rfo, fill_state_after_read, ha_read_arrival_plan,
     ha_read_dir_plan, CaAction, CoreState, DataSource, DirState, HitMeCache, HitMeEntry,
     InMemoryDirectory, L3Meta, MesifState, NodeSet, ProtocolConfig, ReqType, SnoopMode,
 };
-#[cfg(feature = "trace")]
-use hswx_engine::trace::{EventSink as _, SpanRecorder};
 use hswx_engine::trace::SpanId;
-#[cfg(feature = "trace")]
-use hswx_engine::{TelemetryHub, TelemetrySampler};
 use hswx_engine::{
     fnv1a64, fnv1a64_extend, CancelToken, FxHashMap, MetricsRegistry, SimDuration, SimTime,
     ThroughputResource, TimedPool,
@@ -212,19 +209,9 @@ pub struct System {
     pub(crate) fwd_busy: Vec<SimTime>,
     /// Per-core write-combining buffers (back-pressure for NT stores).
     pub(crate) wc_buf: Vec<TimedPool>,
-    /// Armed transcript collector (see [`System::trace_next`]).
-    trace_log: Option<Vec<(SimTime, ProtoStep)>>,
-    /// Recycled transcript storage: monitor-armed walks move this buffer
-    /// into `trace_log` and return it on success, so steady-state tracing
-    /// allocates nothing per walk.
-    trace_scratch: Vec<(SimTime, ProtoStep)>,
-    /// Whether `trace_log` is already in non-decreasing time order
-    /// (tracked at push, so collection sorts only when steps actually
-    /// arrived out of order).
-    log_sorted: bool,
-    /// Trace armed by the monitor for the current walk only (discarded on
-    /// success, attached to the error on failure).
-    auto_trace: bool,
+    /// Observation sinks: protocol transcript, span tracer, telemetry
+    /// sampler (see `crate::observe`).
+    pub(crate) obs: Observer,
     /// Runtime invariant monitor; `None` (the default) costs nothing.
     pub(crate) monitor: Option<MonitorConfig>,
     /// Completed read/write transactions (drives the periodic scan).
@@ -240,24 +227,6 @@ pub struct System {
     cancel: Option<CancelToken>,
     /// Stride counter for the cancel token's deadline polling.
     cancel_polls: u32,
-    /// Structured span tracer (see `hswx_engine::trace`); `None` — the
-    /// default — disables tracing at runtime for one predictable branch
-    /// per instrumented site. Absent entirely without the `trace` feature.
-    #[cfg(feature = "trace")]
-    tracer: Option<Box<SpanRecorder>>,
-    /// Root span of the walk in flight (tracer attached only).
-    #[cfg(feature = "trace")]
-    walk_span: Option<SpanId>,
-    /// Simulated-time telemetry sampler (see `hswx_engine::telemetry`);
-    /// `None` — the default — costs nothing on the walk path. Created
-    /// from the ambient [`TelemetryHub`] at construction or attached
-    /// explicitly; shares the tracer's `TRACED` monomorphization gate.
-    #[cfg(feature = "trace")]
-    pub(crate) sampler: Option<Box<TelemetrySampler>>,
-    /// Ambient telemetry hub captured at construction; the sampler is
-    /// folded into it exactly once, on drop or explicit flush.
-    #[cfg(feature = "trace")]
-    telemetry_hub: Option<std::sync::Arc<TelemetryHub>>,
     /// Ambient metrics registry captured at construction (see
     /// `hswx_engine::metrics`); `None` outside supervised runs.
     metrics: Option<std::sync::Arc<MetricsRegistry>>,
@@ -367,24 +336,13 @@ impl System {
             wc_buf: (0..n_cores)
                 .map(|_| TimedPool::new(cal.lfb_per_core as usize))
                 .collect(),
-            trace_log: None,
-            trace_scratch: Vec::new(),
-            log_sorted: true,
-            auto_trace: false,
+            obs: Observer::new(),
             monitor: None,
             txn_count: 0,
             walk_steps: 0,
             faults: FaultState::default(),
             cancel: CancelToken::ambient(),
             cancel_polls: 0,
-            #[cfg(feature = "trace")]
-            tracer: None,
-            #[cfg(feature = "trace")]
-            walk_span: None,
-            #[cfg(feature = "trace")]
-            sampler: TelemetryHub::ambient().map(|h| Box::new(h.sampler())),
-            #[cfg(feature = "trace")]
-            telemetry_hub: TelemetryHub::ambient(),
             metrics: MetricsRegistry::ambient(),
             walk_snoop_base: 0,
             probe_scratch: Vec::new(),
@@ -443,353 +401,36 @@ impl System {
         NodeSet::first_n(self.topo.n_nodes())
     }
 
-    /// Arm the protocol transcript: the steps of every access until
-    /// [`take_trace`](Self::take_trace) is called are recorded.
-    pub fn trace_next(&mut self) {
-        self.trace_log = Some(Vec::new());
-        self.log_sorted = true;
-    }
-
-    /// Collect the recorded `(time, step)` protocol transcript, sorted by
-    /// time, and disarm tracing.
-    pub fn take_trace(&mut self) -> Vec<(SimTime, ProtoStep)> {
-        let mut log = self.trace_log.take().unwrap_or_default();
-        if !self.log_sorted {
-            log.sort_by_key(|&(t, _)| t);
-            self.log_sorted = true;
-        }
-        log
-    }
-
-    fn log(&mut self, at: SimTime, step: ProtoStep) {
-        if let Some(log) = &mut self.trace_log {
-            if let Some(&(last, _)) = log.last() {
-                if at < last {
-                    self.log_sorted = false;
-                }
-            }
-            log.push((at, step));
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // structured span tracing (runtime-gated; compiled out without the
-    // `trace` feature)
-    // ------------------------------------------------------------------
-
-    /// Attach a span tracer: every subsequent walk records a
-    /// causally-ordered span tree into it. Tracing is observation-only —
-    /// latencies, data sources, statistics, and [`state_digest`]
-    /// (`Self::state_digest`) are bit-identical with it on or off.
-    #[cfg(feature = "trace")]
-    pub fn attach_tracer(&mut self, recorder: SpanRecorder) {
-        self.tracer = Some(Box::new(recorder));
-    }
-
-    /// Detach the tracer, returning everything it recorded.
-    #[cfg(feature = "trace")]
-    pub fn take_tracer(&mut self) -> Option<SpanRecorder> {
-        self.tracer.take().map(|b| *b)
-    }
-
-    /// Whether a span tracer is currently attached.
-    #[cfg(feature = "trace")]
-    pub fn tracing(&self) -> bool {
-        self.tracer.is_some()
-    }
-
-    /// Attach a simulated-time telemetry sampler, replacing the one
-    /// captured from the ambient [`TelemetryHub`] (if any). Subsequent
-    /// walks bucket component activity into it.
-    #[cfg(feature = "trace")]
-    pub fn attach_sampler(&mut self, sampler: TelemetrySampler) {
-        self.sampler = Some(Box::new(sampler));
-    }
-
-    /// Detach the telemetry sampler, returning everything it bucketed.
-    /// A detached sampler is *not* folded into the ambient hub on drop.
-    #[cfg(feature = "trace")]
-    pub fn take_sampler(&mut self) -> Option<TelemetrySampler> {
-        self.sampler.take().map(|b| *b)
-    }
-
-    /// Whether a telemetry sampler is currently attached.
-    #[cfg(feature = "trace")]
-    pub fn sampling(&self) -> bool {
-        self.sampler.is_some()
-    }
-
-    /// Whether the next walk must record spans or telemetry samples. The
-    /// walk entry points test this once and select the `TRACED = true`
-    /// monomorphization; `TRACED = false` is a compile-time promise that
-    /// no tracer or sampler is attached, discharging every instrumented
-    /// site for free.
+    /// Report one walk step to the armed observation sinks. Every walk
+    /// function is monomorphized over `const TRACED: bool`, and the entry
+    /// points ([`try_read`](Self::try_read), [`try_write`](Self::try_write),
+    /// `write_nt`, `flush`) pick `TRACED = true` when any sink — transcript,
+    /// span tracer or telemetry sampler — is armed. The `TRACED = false`
+    /// copies contain no observation code at all, not even a branch (the
+    /// CI tracing-overhead gate holds the cost under 2% on the perfbench
+    /// kernels); in the `TRACED = true` copies the fan-out lives in the
+    /// observer's out-of-line `#[cold]` path.
     #[inline(always)]
-    fn trace_armed(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.tracer.is_some() || self.sampler.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            false
+    fn emit<const TRACED: bool>(&mut self, comp: Comp, start: SimTime, end: SimTime, detail: Detail) {
+        if TRACED {
+            self.obs.emit(Event { comp, start, end, detail });
         }
     }
 
-    /// Add `value` to telemetry channel `name` in the bucket at `at`
-    /// (no-op unless a sampler is attached; with the `trace` feature off
-    /// this folds away entirely, like [`span_leaf`](Self::span_leaf)).
+    /// Open an enclosing span at `at`; pair with [`close`](Self::close).
     #[inline(always)]
-    #[allow(unused_variables)]
-    fn tap<const TRACED: bool>(&mut self, name: &'static str, at: SimTime, value: u64) {
-        #[cfg(feature = "trace")]
-        if TRACED && self.sampler.is_some() {
-            self.tap_cold(name, at, value);
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    #[cold]
-    #[inline(never)]
-    fn tap_cold(&mut self, name: &'static str, at: SimTime, value: u64) {
-        if let Some(s) = self.sampler.as_deref_mut() {
-            s.record(name, at, value);
-        }
-    }
-
-    /// Distribute the busy interval `[start, end)` into telemetry channel
-    /// `name` (no-op unless a sampler is attached).
-    #[inline(always)]
-    #[allow(unused_variables)]
-    fn tap_span<const TRACED: bool>(&mut self, name: &'static str, start: SimTime, end: SimTime) {
-        #[cfg(feature = "trace")]
-        if TRACED && self.sampler.is_some() {
-            self.tap_span_cold(name, start, end);
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    #[cold]
-    #[inline(never)]
-    fn tap_span_cold(&mut self, name: &'static str, start: SimTime, end: SimTime) {
-        if let Some(s) = self.sampler.as_deref_mut() {
-            s.record_span(name, start, end);
-        }
-    }
-
-    /// Count a gated walk abort in the cancellation telemetry channels.
-    #[inline(always)]
-    #[allow(unused_variables)]
-    fn tap_walk_abort<const TRACED: bool>(&mut self, err: &SimError, t: SimTime) {
-        #[cfg(feature = "trace")]
-        if TRACED && self.sampler.is_some() {
-            let name = match err {
-                SimError::Cancelled { .. } => "cancel.aborts",
-                SimError::Poisoned { .. } => "cancel.poison_blocked",
-                _ => return,
-            };
-            self.tap_cold(name, t, 1);
-        }
-    }
-
-    /// Fold the sampler into the ambient telemetry hub captured at
-    /// construction (no-op without both). Runs automatically when the
-    /// system drops; calling it earlier flushes once and detaches.
-    pub fn flush_telemetry(&mut self) {
-        #[cfg(feature = "trace")]
-        if let (Some(hub), Some(sampler)) = (self.telemetry_hub.take(), self.sampler.take()) {
-            hub.absorb(*sampler);
-        }
-    }
-
-    /// Record a complete component span (no-op unless a tracer is
-    /// attached; with the `trace` feature off this folds away entirely).
-    ///
-    /// Every instrumented walk function is monomorphized over
-    /// `const TRACED: bool` and the entry points ([`try_read`]
-    /// (Self::try_read), [`try_write`](Self::try_write), `write_nt`,
-    /// `flush`) pick the variant with one `tracer.is_some()` test per
-    /// walk. The `TRACED = false` copies contain no instrumentation at
-    /// all — not even a branch — so the disabled hot path is
-    /// instruction-identical to a build without the feature (the CI
-    /// tracing-overhead gate holds the cost under 2% on the perfbench
-    /// kernels). In the `TRACED = true` copies all recording work lives
-    /// in `#[cold]` `#[inline(never)]` out-of-line companions.
-    #[inline(always)]
-    #[allow(unused_variables)]
-    fn span_leaf<const TRACED: bool>(
-        &mut self,
-        name: &'static str,
-        cat: &'static str,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        #[cfg(feature = "trace")]
-        if TRACED && self.tracer.is_some() {
-            self.span_leaf_cold(name, cat, start, end);
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    #[cold]
-    #[inline(never)]
-    fn span_leaf_cold(
-        &mut self,
-        name: &'static str,
-        cat: &'static str,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        if let Some(tr) = self.tracer.as_deref_mut() {
-            tr.leaf(name, cat, start, end);
-        }
-    }
-
-    /// Like [`span_leaf`](Self::span_leaf) but attaches a detail string,
-    /// built only when a tracer is attached.
-    #[inline(always)]
-    #[allow(unused_variables)]
-    fn span_leaf_with<const TRACED: bool, F: FnOnce() -> String>(
-        &mut self,
-        name: &'static str,
-        cat: &'static str,
-        start: SimTime,
-        end: SimTime,
-        detail: F,
-    ) {
-        #[cfg(feature = "trace")]
-        if TRACED && self.tracer.is_some() {
-            self.span_leaf_with_cold(name, cat, start, end, detail);
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    #[cold]
-    #[inline(never)]
-    fn span_leaf_with_cold(
-        &mut self,
-        name: &'static str,
-        cat: &'static str,
-        start: SimTime,
-        end: SimTime,
-        detail: impl FnOnce() -> String,
-    ) {
-        if let Some(tr) = self.tracer.as_deref_mut() {
-            let id = tr.leaf(name, cat, start, end);
-            tr.detail(id, detail());
-        }
-    }
-
-    /// Open an enclosing span; pair with [`span_end`](Self::span_end).
-    #[inline(always)]
-    #[allow(unused_variables)]
-    fn span_begin<const TRACED: bool>(
-        &mut self,
-        name: &'static str,
-        cat: &'static str,
-        at: SimTime,
-    ) -> Option<SpanId> {
-        #[cfg(feature = "trace")]
-        if TRACED && self.tracer.is_some() {
-            return self.span_begin_cold(name, cat, at);
+    fn open<const TRACED: bool>(&mut self, comp: Comp, at: SimTime, detail: Detail) -> Option<SpanId> {
+        if TRACED {
+            return self.obs.open(Event { comp, start: at, end: at, detail });
         }
         None
     }
 
-    #[cfg(feature = "trace")]
-    #[cold]
-    #[inline(never)]
-    fn span_begin_cold(
-        &mut self,
-        name: &'static str,
-        cat: &'static str,
-        at: SimTime,
-    ) -> Option<SpanId> {
-        self.tracer.as_deref_mut().map(|tr| tr.begin(name, cat, at))
-    }
-
-    /// Close a span opened by [`span_begin`](Self::span_begin).
+    /// Close a span opened by [`open`](Self::open).
     #[inline(always)]
-    #[allow(unused_variables)]
-    fn span_end(&mut self, id: Option<SpanId>, at: SimTime) {
-        #[cfg(feature = "trace")]
-        if let Some(id) = id {
-            self.span_end_cold(id, at);
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    #[cold]
-    #[inline(never)]
-    fn span_end_cold(&mut self, id: SpanId, at: SimTime) {
-        if let Some(tr) = self.tracer.as_deref_mut() {
-            tr.end(id, at);
-        }
-    }
-
-    /// Attach a detail string to an open or closed span.
-    #[inline(always)]
-    #[allow(unused_variables)]
-    fn span_detail(&mut self, id: Option<SpanId>, detail: impl FnOnce() -> String) {
-        #[cfg(feature = "trace")]
-        if let Some(id) = id {
-            self.span_detail_cold(id, detail);
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    #[cold]
-    #[inline(never)]
-    fn span_detail_cold(&mut self, id: SpanId, detail: impl FnOnce() -> String) {
-        if let Some(tr) = self.tracer.as_deref_mut() {
-            tr.detail(id, detail());
-        }
-    }
-
-    /// Open the root span of a walk.
-    #[inline(always)]
-    #[allow(unused_variables)]
-    fn walk_span_open(&mut self, name: &'static str, t: SimTime) {
-        #[cfg(feature = "trace")]
-        if self.tracer.is_some() {
-            self.walk_span_open_cold(name, t);
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    #[cold]
-    #[inline(never)]
-    fn walk_span_open_cold(&mut self, name: &'static str, t: SimTime) {
-        self.walk_span = self.span_begin_cold(name, "walk", t);
-    }
-
-    /// Close the walk's root span and file the walk record: the reported
-    /// `[issued, done]` interval drives exact latency attribution.
-    #[inline(always)]
-    #[allow(unused_variables)]
-    fn walk_span_close(&mut self, issued: SimTime, res: &Result<AccessOutcome, SimError>) {
-        #[cfg(feature = "trace")]
-        if self.walk_span.is_some() {
-            self.walk_span_close_cold(issued, res);
-        }
-    }
-
-    #[cfg(feature = "trace")]
-    #[cold]
-    #[inline(never)]
-    fn walk_span_close_cold(&mut self, issued: SimTime, res: &Result<AccessOutcome, SimError>) {
-        let Some(root) = self.walk_span.take() else { return };
-        let Some(tr) = self.tracer.as_deref_mut() else { return };
-        match res {
-            Ok(out) => {
-                tr.detail(root, format!("source={:?}", out.source));
-                tr.end(root, out.done);
-                tr.record_walk(root, issued, out.done);
-            }
-            // Aborted walk: close the root so the stack stays
-            // balanced, but record no walk — there is no latency
-            // to attribute.
-            Err(_) => tr.end(root, issued),
+    fn close(&mut self, scope: Option<SpanId>, at: SimTime) {
+        if let Some(id) = scope {
+            self.obs.close(id, at);
         }
     }
 
@@ -897,38 +538,30 @@ impl System {
         if sa != sb {
             let idx = sa as usize * self.cfg.sockets as usize + sb as usize;
             let serialized = self.qpi[idx].transfer(t, bytes);
-            let mut at = serialized + transit;
-            let hop_done = at;
-            if self.faults.qpi_crc > 0 {
-                let (outcome, consumed) = self.faults.link_retry.resolve(self.faults.qpi_crc);
-                self.faults.qpi_crc -= consumed;
-                let retries = outcome.retries();
-                if retries > 0 {
-                    self.recovery.crc_messages += 1;
-                    self.recovery.crc_retries += retries as u64;
-                    at += SimDuration::from_ns(retries as f64 * self.cal.t_qpi);
-                    self.log(at, ProtoStep::LinkRetry { retries });
-                }
-                if !outcome.delivered() {
-                    self.recovery.link_failures += 1;
-                    self.faults.link_failed = Some(retries);
-                }
+            let hop_done = serialized + transit;
+            self.emit::<TRACED>(Comp::QPI_HOP, t, hop_done, Detail::Hop { from, to, bytes });
+            if self.faults.qpi_crc == 0 {
+                return hop_done;
             }
-            self.span_leaf_with::<TRACED, _>("qpi_hop", "qpi", t, hop_done, || {
-                format!("{from:?}\u{2192}{to:?} {bytes}B")
-            });
-            self.tap::<TRACED>("qpi.bytes", t, bytes);
-            self.tap_span::<TRACED>("qpi.busy_ps", t, hop_done);
-            if at > hop_done {
-                self.span_leaf::<TRACED>("qpi_crc_replay", "qpi", hop_done, at);
-                self.tap::<TRACED>("qpi.crc_replays", hop_done, 1);
-                self.tap_span::<TRACED>("qpi.replay_busy_ps", hop_done, at);
+            let (outcome, consumed) = self.faults.link_retry.resolve(self.faults.qpi_crc);
+            self.faults.qpi_crc -= consumed;
+            let retries = outcome.retries();
+            if !outcome.delivered() {
+                self.recovery.link_failures += 1;
+                self.faults.link_failed = Some(retries);
             }
+            if retries == 0 {
+                return hop_done;
+            }
+            self.recovery.crc_messages += 1;
+            self.recovery.crc_retries += retries as u64;
+            let at = hop_done + SimDuration::from_ns(retries as f64 * self.cal.t_qpi);
+            let replay = Detail::Step(ProtoStep::LinkRetry { retries });
+            self.emit::<TRACED>(Comp::CRC_REPLAY, hop_done, at, replay);
             at
         } else {
             let at = t + transit;
-            self.span_leaf::<TRACED>("ring_hop", "ring", t, at);
-            self.tap_span::<TRACED>("ring.busy_ps", t, at);
+            self.emit::<TRACED>(Comp::RING_HOP, t, at, Detail::None);
             at
         }
     }
@@ -943,11 +576,8 @@ impl System {
     fn begin_walk(&mut self) {
         self.walk_steps = 0;
         self.walk_snoop_base = self.stats.snoops_sent;
-        if self.monitor.is_some() && self.trace_log.is_none() {
-            // Reuse the scratch buffer: no allocation in steady state.
-            self.trace_log = Some(std::mem::take(&mut self.trace_scratch));
-            self.log_sorted = true;
-            self.auto_trace = true;
+        if self.monitor.is_some() {
+            self.obs.arm_for_walk();
         }
     }
 
@@ -960,22 +590,34 @@ impl System {
     /// `hswx-bench::perf` issue tens of millions of walks per second, so
     /// everything else lives in the outlined `#[cold]` slow path.
     #[inline(always)]
-    fn walk_gate(&mut self, core: CoreId, line: LineAddr) -> Option<SimError> {
+    fn walk_gate<const TRACED: bool>(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        t: SimTime,
+    ) -> Option<SimError> {
         if self.cancel.is_none() && self.faults.poisoned.is_empty() {
             return None;
         }
-        self.walk_gate_slow(core, line)
+        self.walk_gate_slow::<TRACED>(core, line, t)
     }
 
     #[cold]
     #[inline(never)]
-    fn walk_gate_slow(&mut self, core: CoreId, line: LineAddr) -> Option<SimError> {
+    fn walk_gate_slow<const TRACED: bool>(
+        &mut self,
+        core: CoreId,
+        line: LineAddr,
+        t: SimTime,
+    ) -> Option<SimError> {
         if self.cancel_requested() {
-            return Some(SimError::Cancelled { core, line, transcript: self.error_transcript() });
+            self.emit::<TRACED>(Comp::CANCELLED, t, t, Detail::None);
+            return Some(SimError::Cancelled { core, line, transcript: self.obs.error_transcript() });
         }
         if self.faults.poisoned.contains(&line) {
             self.recovery.poison_blocked += 1;
-            return Some(SimError::Poisoned { core, line, transcript: self.error_transcript() });
+            self.emit::<TRACED>(Comp::POISON_BLOCKED, t, t, Detail::None);
+            return Some(SimError::Poisoned { core, line, transcript: self.obs.error_transcript() });
         }
         None
     }
@@ -996,43 +638,12 @@ impl System {
     #[cold]
     #[inline(never)]
     fn link_failure_error(&mut self, core: CoreId, line: LineAddr, retries: u32) -> SimError {
-        SimError::QpiLinkFailure { core, line, retries, transcript: self.error_transcript() }
-    }
-
-    /// Collect the transcript for an error: consume a monitor-armed trace,
-    /// or snapshot a user-armed one without disarming it. Cold path — only
-    /// reached when a walk is about to return an error.
-    fn error_transcript(&mut self) -> Vec<(SimTime, ProtoStep)> {
-        if self.auto_trace {
-            self.auto_trace = false;
-            self.take_trace()
-        } else if let Some(log) = &mut self.trace_log {
-            // Sort the armed log in place once (stable, so a later
-            // take_trace observes the same order), then snapshot it.
-            if !self.log_sorted {
-                log.sort_by_key(|&(t, _)| t);
-                self.log_sorted = true;
-            }
-            log.clone()
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Recycle a monitor-armed trace after a successful walk.
-    fn discard_auto_trace(&mut self) {
-        if self.auto_trace {
-            self.auto_trace = false;
-            if let Some(mut log) = self.trace_log.take() {
-                log.clear();
-                self.trace_scratch = log;
-            }
-        }
+        SimError::QpiLinkFailure { core, line, retries, transcript: self.obs.error_transcript() }
     }
 
     /// Close a transaction walk: run the watchdog on the completed access
     /// and the periodic invariant scan.
-    fn end_walk(
+    fn end_walk<const TRACED: bool>(
         &mut self,
         core: CoreId,
         line: LineAddr,
@@ -1043,7 +654,9 @@ impl System {
         let out = match res {
             Ok(out) => out,
             Err(e) => {
-                self.discard_auto_trace();
+                if TRACED {
+                    self.obs.discard_walk_transcript();
+                }
                 return Err(e);
             }
         };
@@ -1070,7 +683,7 @@ impl System {
                 limit_ns: mon.max_walk_ns,
                 steps: self.walk_steps,
                 step_limit: mon.max_walk_steps,
-                transcript: self.error_transcript(),
+                transcript: self.obs.error_transcript(),
             });
         }
         if self.txn_count.is_multiple_of(mon.check_every.max(1)) {
@@ -1078,11 +691,13 @@ impl System {
                 return Err(SimError::InvariantViolation {
                     violation,
                     txn: self.txn_count,
-                    transcript: self.error_transcript(),
+                    transcript: self.obs.error_transcript(),
                 });
             }
         }
-        self.discard_auto_trace();
+        if TRACED {
+            self.obs.discard_walk_transcript();
+        }
         Ok(out)
     }
 
@@ -1099,7 +714,7 @@ impl System {
             action,
             core,
             line,
-            transcript: self.error_transcript(),
+            transcript: self.obs.error_transcript(),
         }
     }
 
@@ -1230,15 +845,15 @@ impl System {
         t: SimTime,
     ) -> Result<AccessOutcome, SimError> {
         self.begin_walk();
-        if self.trace_armed() {
-            self.walk_span_open("read", t);
+        if self.obs.armed() {
+            let root = self.open::<true>(Comp::READ, t, Detail::None);
             let res = self.read_walk::<true>(core, line, t);
-            let res = self.end_walk(core, line, t, res);
-            self.walk_span_close(t, &res);
+            let res = self.end_walk::<true>(core, line, t, res);
+            self.obs.close_walk(root, t, &res);
             res
         } else {
             let res = self.read_walk::<false>(core, line, t);
-            self.end_walk(core, line, t, res)
+            self.end_walk::<false>(core, line, t, res)
         }
     }
 
@@ -1248,8 +863,7 @@ impl System {
         line: LineAddr,
         t: SimTime,
     ) -> Result<AccessOutcome, SimError> {
-        if let Some(err) = self.walk_gate(core, line) {
-            self.tap_walk_abort::<TRACED>(&err, t);
+        if let Some(err) = self.walk_gate::<TRACED>(core, line, t) {
             return Err(err);
         }
         let ci = core.0 as usize;
@@ -1260,9 +874,8 @@ impl System {
                     return Ok(out);
                 }
             }
-            self.log(t, ProtoStep::PrivateHit { level: 1 });
             let out = AccessOutcome { done: t + self.timing.cal.t_l1, source: DataSource::SelfL1 };
-            self.span_leaf::<TRACED>("l1_hit", "core", t, out.done);
+            self.emit::<TRACED>(Comp::L1_HIT, t, out.done, Detail::Step(ProtoStep::PrivateHit { level: 1 }));
             self.stats.tally_read(out.source);
             return Ok(out);
         }
@@ -1275,9 +888,8 @@ impl System {
             }
             // Refill L1.
             self.fill_private(core, line, st, t);
-            self.log(t, ProtoStep::PrivateHit { level: 2 });
             let out = AccessOutcome { done: t + self.timing.cal.t_l2, source: DataSource::SelfL2 };
-            self.span_leaf::<TRACED>("l2_hit", "core", t, out.done);
+            self.emit::<TRACED>(Comp::L2_HIT, t, out.done, Detail::Step(ProtoStep::PrivateHit { level: 2 }));
             self.stats.tally_read(out.source);
             return Ok(out);
         }
@@ -1299,7 +911,6 @@ impl System {
             Some(m) if m.state == MesifState::Shared => m.state = MesifState::Forward,
             _ => return None,
         }
-        self.log(t, ProtoStep::ForwardReclaim);
         let my_node = node;
         let holders: Vec<NodeId> = self
             .topo
@@ -1314,17 +925,17 @@ impl System {
                 }
             }
         }
-        let sp = self.span_begin::<TRACED>("f_reclaim", "coherence", t);
+        let sp = self.open::<TRACED>(Comp::F_RECLAIM, t, Detail::Step(ProtoStep::ForwardReclaim));
         let t_req = t + self.timing.cal.t_miss_path;
         let t_at_ca = self.send::<TRACED>(t_req, Endpoint::Core(core), Endpoint::Slice(slice), self.cal.msg_ctl);
         let t_arr = t_at_ca + self.timing.cal.t_l3_array;
-        self.span_leaf::<TRACED>("l3_array", "mem", t_at_ca, t_arr);
+        self.emit::<TRACED>(Comp::L3_ARRAY, t_at_ca, t_arr, Detail::None);
         let t_data = self.l3_port[slice.0 as usize].transfer(t_arr, 64);
-        self.span_leaf::<TRACED>("l3_port", "mem", t_arr, t_data);
+        self.emit::<TRACED>(Comp::L3_PORT, t_arr, t_data, Detail::None);
         let t_sent = self.send::<TRACED>(t_data, Endpoint::Slice(slice), Endpoint::Core(core), self.cal.msg_data);
         let done = t_sent + self.timing.cal.t_fill;
-        self.span_leaf::<TRACED>("fill", "core", t_sent, done);
-        self.span_end(sp, done);
+        self.emit::<TRACED>(Comp::FILL, t_sent, done, Detail::None);
+        self.close(sp, done);
         let out = AccessOutcome { done, source: DataSource::LocalL3 };
         self.stats.tally_read(out.source);
         Some(out)
@@ -1344,17 +955,18 @@ impl System {
         let t_at_ca = self.send::<TRACED>(t_req, Endpoint::Core(core), Endpoint::Slice(slice), self.cal.msg_ctl);
 
         let meta_snapshot = self.l3[slice.0 as usize].access(line).map(|m| *m);
-        self.log(t_at_ca, ProtoStep::CaLookup { slice, hit: meta_snapshot.is_some() });
+        let lookup = ProtoStep::CaLookup { slice, hit: meta_snapshot.is_some() };
+        self.emit::<TRACED>(Comp::STEP, t_at_ca, t_at_ca, Detail::Step(lookup));
         match ca_local_action(ReqType::Read, meta_snapshot.as_ref(), local) {
             CaAction::ServeFromL3 => {
                 let t_arr = t_at_ca + self.timing.cal.t_l3_array;
-                self.span_leaf::<TRACED>("l3_array", "mem", t_at_ca, t_arr);
+                self.emit::<TRACED>(Comp::L3_ARRAY, t_at_ca, t_arr, Detail::None);
                 let t_data = self.l3_port[slice.0 as usize].transfer(t_arr, 64);
-                self.span_leaf::<TRACED>("l3_port", "mem", t_arr, t_data);
+                self.emit::<TRACED>(Comp::L3_PORT, t_arr, t_data, Detail::None);
                 let t_sent =
                     self.send::<TRACED>(t_data, Endpoint::Slice(slice), Endpoint::Core(core), self.cal.msg_data);
                 let done = t_sent + self.timing.cal.t_fill;
-                self.span_leaf::<TRACED>("fill", "core", t_sent, done);
+                self.emit::<TRACED>(Comp::FILL, t_sent, done, Detail::None);
                 // The line can only have vanished between the lookup above
                 // and here through injected corruption; fill Shared and let
                 // the invariant scan report the damage.
@@ -1414,10 +1026,8 @@ impl System {
         let t_serve = t_probe_at.max(self.fwd_busy[ti]);
         self.fwd_busy[ti] = t_serve + occ;
         let t_probe_done = t_serve + probe;
-        self.log(t_probe_done, ProtoStep::LocalCoreProbe { target, forwarded: fwd });
-        self.span_leaf_with::<TRACED, _>("probe_core", "coherence", t_serve, t_probe_done, || {
-            format!("core{} fwd={fwd}", target.0)
-        });
+        let probe = ProtoStep::LocalCoreProbe { target, forwarded: fwd };
+        self.emit::<TRACED>(Comp::PROBE_CORE, t_serve, t_probe_done, Detail::Step(probe));
 
         if fwd {
             // Target demotes to Shared; data goes core→core.
@@ -1430,7 +1040,7 @@ impl System {
             let t_sent =
                 self.send::<TRACED>(t_probe_done, Endpoint::Core(target), Endpoint::Core(core), self.cal.msg_data);
             let done = t_sent + self.timing.cal.t_fill;
-            self.span_leaf::<TRACED>("fill", "core", t_sent, done);
+            self.emit::<TRACED>(Comp::FILL, t_sent, done, Detail::None);
             if let Some(meta) = self.l3[slice.0 as usize].peek_mut(line) {
                 meta.state = MesifState::Modified; // L3 absorbs the dirty data
                 meta.add_core(local);
@@ -1451,20 +1061,37 @@ impl System {
             let t_resp_at_ca =
                 self.send::<TRACED>(t_probe_done, Endpoint::Core(target), Endpoint::Slice(slice), self.cal.msg_ctl);
             let t_arr = t_at_ca + self.timing.cal.t_l3_array;
-            self.span_leaf::<TRACED>("l3_array", "mem", t_at_ca, t_arr);
+            self.emit::<TRACED>(Comp::L3_ARRAY, t_at_ca, t_arr, Detail::None);
             let t_array = self.l3_port[slice.0 as usize].transfer(t_arr, 64);
-            self.span_leaf::<TRACED>("l3_port", "mem", t_arr, t_array);
+            self.emit::<TRACED>(Comp::L3_PORT, t_arr, t_array, Detail::None);
             let t_data = t_resp_at_ca.max(t_array);
             let t_sent =
                 self.send::<TRACED>(t_data, Endpoint::Slice(slice), Endpoint::Core(core), self.cal.msg_data);
             let done = t_sent + self.timing.cal.t_fill;
-            self.span_leaf::<TRACED>("fill", "core", t_sent, done);
+            self.emit::<TRACED>(Comp::FILL, t_sent, done, Detail::None);
             if let Some(meta) = self.l3[slice.0 as usize].peek_mut(line) {
                 meta.add_core(local);
             }
             self.fill_private(core, line, CoreState::Shared, done);
             AccessOutcome { done, source: DataSource::LocalL3 }
         }
+    }
+
+    /// [`probe_peer`](Self::probe_peer) inside a `snoop` span that lasts
+    /// until the peer's response reaches the home agent.
+    fn snoop_peer<const TRACED: bool>(
+        &mut self,
+        peer: NodeId,
+        line: LineAddr,
+        t_sent: SimTime,
+        from: Endpoint,
+        requester_core: CoreId,
+        ha: HaId,
+    ) -> PeerProbe {
+        let sp = self.open::<TRACED>(Comp::SNOOP, t_sent, Detail::Step(ProtoStep::SnoopPeer { node: peer }));
+        let p = self.probe_peer::<TRACED>(peer, line, t_sent, from, requester_core, ha);
+        self.close(sp, p.resp_at_ha);
+        p
     }
 
     /// Probe one peer node's caching agent with a data snoop.
@@ -1478,7 +1105,6 @@ impl System {
         ha: HaId,
     ) -> PeerProbe {
         self.stats.snoops_sent += 1;
-        self.log(t_sent, ProtoStep::SnoopPeer { node: peer });
         let pslice = self.topo.slice_for_line(line, peer);
         // Injected message faults (see `crate::inject`): a dropped snoop
         // fabricates an instant "no copy" response without consulting the
@@ -1521,10 +1147,8 @@ impl System {
             let t_serve = t_probe_at.max(self.fwd_busy[ti]);
             self.fwd_busy[ti] = t_serve + occ;
             let t_probe_done = t_serve + probe;
-            self.log(t_probe_done, ProtoStep::PeerCoreProbe { node: peer, target, forwarded: from_core });
-            self.span_leaf_with::<TRACED, _>("probe_core", "coherence", t_serve, t_probe_done, || {
-                format!("node{} core{} fwd={from_core}", peer.0, target.0)
-            });
+            let probe = ProtoStep::PeerCoreProbe { node: peer, target, forwarded: from_core };
+            self.emit::<TRACED>(Comp::PROBE_CORE, t_serve, t_probe_done, Detail::Step(probe));
             if from_core {
                 source = DataSource::PeerCore(peer);
                 if let Some(s) = self.l1[ti].peek_mut(line) {
@@ -1539,21 +1163,21 @@ impl System {
                 let t_sent = self
                     .send::<TRACED>(t_fwd, Endpoint::Core(target), Endpoint::Core(requester_core), self.cal.msg_data);
                 let data_at = t_sent + self.timing.cal.t_fill;
-                self.span_leaf::<TRACED>("fill", "core", t_sent, data_at);
+                self.emit::<TRACED>(Comp::FILL, t_sent, data_at, Detail::None);
                 let resp_at_ha =
                     self.send::<TRACED>(t_probe_done, Endpoint::Core(target), Endpoint::Ha(ha), self.cal.msg_ctl);
                 // Node demotes to Shared; dirty data also goes home.
                 m.state = MesifState::Shared;
                 if dirty_wb {
                     let (wb_done, _) = self.mem[ha.0 as usize].access(resp_at_ha, line, true);
-                    self.span_leaf::<TRACED>("dram_wb", "mem", resp_at_ha, wb_done);
-                    self.tap_span::<TRACED>("dram.busy_ps", resp_at_ha, wb_done);
+                    self.emit::<TRACED>(Comp::DRAM_WB, resp_at_ha, wb_done, Detail::None);
                     self.stats.dram_writebacks += 1;
                 }
                 if let Some(slot) = self.l3[pslice.0 as usize].peek_mut(line) {
                     *slot = m;
                 }
-                self.log(data_at, ProtoStep::PeerForward { node: peer, from_core: true });
+                let fwd = ProtoStep::PeerForward { node: peer, from_core: true };
+                self.emit::<TRACED>(Comp::STEP, data_at, data_at, Detail::Step(fwd));
                 return PeerProbe { resp_at_ha, forward: Some((data_at, source)), keeps_copy: true };
             }
             // Core had silently evicted or was clean: the L3 data (read in
@@ -1577,9 +1201,9 @@ impl System {
         if m.state.can_forward() {
             let dirty = m.state.is_dirty();
             let t_arr = t_lookup + self.timing.cal.t_l3_array;
-            self.span_leaf::<TRACED>("l3_array", "mem", t_lookup, t_arr);
+            self.emit::<TRACED>(Comp::L3_ARRAY, t_lookup, t_arr, Detail::None);
             let mut t_data = self.l3_port[pslice.0 as usize].transfer(t_arr, 64);
-            self.span_leaf::<TRACED>("l3_port", "mem", t_arr, t_data);
+            self.emit::<TRACED>(Comp::L3_PORT, t_arr, t_data, Detail::None);
             if let Some(resp) = probe_resp_at_ca {
                 t_data = t_data.max(resp);
             }
@@ -1587,20 +1211,20 @@ impl System {
             let t_sent = self
                 .send::<TRACED>(t_data, Endpoint::Slice(pslice), Endpoint::Core(requester_core), self.cal.msg_data);
             let data_at = t_sent + self.timing.cal.t_fill;
-            self.span_leaf::<TRACED>("fill", "core", t_sent, data_at);
+            self.emit::<TRACED>(Comp::FILL, t_sent, data_at, Detail::None);
             let resp_at_ha =
                 self.send::<TRACED>(t_data, Endpoint::Slice(pslice), Endpoint::Ha(ha), self.cal.msg_ctl);
             m.state = m.state.after_forwarding_read();
             if dirty {
                 let (wb_done, _) = self.mem[ha.0 as usize].access(resp_at_ha, line, true);
-                self.span_leaf::<TRACED>("dram_wb", "mem", resp_at_ha, wb_done);
-                self.tap_span::<TRACED>("dram.busy_ps", resp_at_ha, wb_done);
+                self.emit::<TRACED>(Comp::DRAM_WB, resp_at_ha, wb_done, Detail::None);
                 self.stats.dram_writebacks += 1;
             }
             if let Some(slot) = self.l3[pslice.0 as usize].peek_mut(line) {
                 *slot = m;
             }
-            self.log(data_at, ProtoStep::PeerForward { node: peer, from_core: false });
+            let fwd = ProtoStep::PeerForward { node: peer, from_core: false };
+            self.emit::<TRACED>(Comp::STEP, data_at, data_at, Detail::Step(fwd));
             PeerProbe { resp_at_ha, forward: Some((data_at, source)), keeps_copy: true }
         } else {
             // Shared copy: cannot forward; just acknowledge.
@@ -1626,8 +1250,7 @@ impl System {
         let home = self.topo.home_node_of_line(line);
         let ha = self.topo.ha_for_line(line);
         let t_miss = t_at_ca + self.timing.cal.t_l3_tag;
-        self.span_leaf::<TRACED>("cbo_tag", "coherence", t_at_ca, t_miss);
-        self.tap_span::<TRACED>("cbo.tag_busy_ps", t_at_ca, t_miss);
+        self.emit::<TRACED>(Comp::CBO_TAG, t_at_ca, t_miss, Detail::None);
         let all = self.all_nodes();
 
         let mut probes: Vec<PeerProbe> = std::mem::take(&mut self.probe_scratch);
@@ -1636,18 +1259,14 @@ impl System {
         // Source snooping: the CA broadcasts to every other node now.
         if self.proto.mode == SnoopMode::Source {
             for peer in all.without(node).iter() {
-                let sp = self.span_begin::<TRACED>("snoop", "coherence", t_miss);
-                let p = self.probe_peer::<TRACED>(peer, line, t_miss, Endpoint::Slice(slice), core, ha);
-                self.span_detail(sp, || format!("node{}", peer.0));
-                self.span_end(sp, p.resp_at_ha);
-                probes.push(p);
+                probes.push(self.snoop_peer::<TRACED>(peer, line, t_miss, Endpoint::Slice(slice), core, ha));
             }
         }
 
         // Request travels to the home agent; tracker admission control.
-        self.log(t_miss, ProtoStep::HomeRequest { ha });
+        self.emit::<TRACED>(Comp::STEP, t_miss, t_miss, Detail::Step(ProtoStep::HomeRequest { ha }));
         let req_at_ha = self.send::<TRACED>(t_miss, Endpoint::Slice(slice), Endpoint::Ha(ha), self.cal.msg_ctl);
-        let ha_span = self.span_begin::<TRACED>("home_agent", "coherence", req_at_ha);
+        let ha_span = self.open::<TRACED>(Comp::HOME_AGENT, req_at_ha, Detail::None);
         // Which tracker pool: COD partitions by cluster, the two-socket
         // modes by socket (QPI RTID preallocation).
         let remote_req = if self.proto.directory {
@@ -1658,10 +1277,8 @@ impl System {
         let pool = &mut self.trackers[ha.0 as usize][remote_req as usize];
         let t_admitted = pool.wait_for_slot(req_at_ha);
         let mut t_arrival = t_admitted + self.timing.cal.t_ha;
-        self.span_leaf::<TRACED>("tracker_wait", "coherence", req_at_ha, t_admitted);
-        self.span_leaf::<TRACED>("ha_pipeline", "coherence", t_admitted, t_arrival);
-        self.tap_span::<TRACED>("ha.tracker_wait_ps", req_at_ha, t_admitted);
-        self.tap_span::<TRACED>("ha.pipeline_busy_ps", t_admitted, t_arrival);
+        self.emit::<TRACED>(Comp::TRACKER_WAIT, req_at_ha, t_admitted, Detail::None);
+        self.emit::<TRACED>(Comp::HA_PIPELINE, t_admitted, t_arrival, Detail::None);
 
         // Transient HitME SRAM read glitch (injected): the HA re-reads
         // the directory cache, stalling its pipeline one access latency.
@@ -1670,9 +1287,7 @@ impl System {
             self.recovery.hitme_retries += 1;
             let before = t_arrival;
             t_arrival += self.timing.cal.t_hitme;
-            self.span_leaf::<TRACED>("hitme_reread", "coherence", before, t_arrival);
-            self.tap::<TRACED>("recovery.hitme_rereads", before, 1);
-            self.log(t_arrival, ProtoStep::HitMeRetry);
+            self.emit::<TRACED>(Comp::HITME_REREAD, before, t_arrival, Detail::Step(ProtoStep::HitMeRetry));
         }
 
         // HitME lookup (COD).
@@ -1680,16 +1295,9 @@ impl System {
             let h = self.hitme[ha.0 as usize]
                 .lookup(line)
                 .map(|e| (e.nodes, e.clean));
-            self.log(t_arrival, ProtoStep::HitMeLookup { hit: h.is_some(), clean: h.map(|(_, c)| c) });
-            self.span_leaf_with::<TRACED, _>("hitme_lookup", "coherence", t_arrival, t_arrival, || match h {
-                Some((_, clean)) => format!("hit clean={clean}"),
-                None => "miss".to_string(),
-            });
-            self.tap::<TRACED>(
-                if h.is_some() { "hitme.hits" } else { "hitme.misses" },
-                t_arrival,
-                1,
-            );
+            let comp = if h.is_some() { Comp::HITME_HIT } else { Comp::HITME_MISS };
+            let lookup = ProtoStep::HitMeLookup { hit: h.is_some(), clean: h.map(|(_, c)| c) };
+            self.emit::<TRACED>(comp, t_arrival, t_arrival, Detail::Step(lookup));
             h
         } else {
             None
@@ -1699,12 +1307,9 @@ impl System {
         // Speculative memory read (directory bits piggyback on it).
         let channel = self.mem[ha.0 as usize].channel_of(line);
         let (dev_done, row_outcome) = self.mem[ha.0 as usize].access(t_arrival, line, false);
-        self.span_leaf_with::<TRACED, _>("dram_row", "mem", t_arrival, dev_done, || {
-            format!("{row_outcome:?} ch{channel}")
-        });
-        self.tap_span::<TRACED>("dram.busy_ps", t_arrival, dev_done);
+        self.emit::<TRACED>(Comp::DRAM_ROW, t_arrival, dev_done, Detail::Dram { row: row_outcome, channel });
         let mut dram_done = dev_done + self.timing.cal.t_mem_ctl;
-        self.span_leaf::<TRACED>("mem_ctl", "mem", dev_done, dram_done);
+        self.emit::<TRACED>(Comp::MEM_CTL, dev_done, dram_done, Detail::None);
 
         // Home-snoop-mode probes issued by the HA.
         let mut broadcast_snooped = false;
@@ -1713,19 +1318,11 @@ impl System {
             // delay models QPI-bound snoop broadcast arbitration only.
             let t_issue = t_arrival + self.timing.cal.t_home_snoop_issue;
             if plan.probe_home_ca {
-                let sp = self.span_begin::<TRACED>("snoop", "coherence", t_arrival);
-                let p = self.probe_peer::<TRACED>(home, line, t_arrival, Endpoint::Ha(ha), core, ha);
-                self.span_detail(sp, || format!("node{}", home.0));
-                self.span_end(sp, p.resp_at_ha);
-                probes.push(p);
+                probes.push(self.snoop_peer::<TRACED>(home, line, t_arrival, Endpoint::Ha(ha), core, ha));
             }
             for peer in plan.snoops.iter() {
                 broadcast_snooped = true;
-                let sp = self.span_begin::<TRACED>("snoop", "coherence", t_issue);
-                let p = self.probe_peer::<TRACED>(peer, line, t_issue, Endpoint::Ha(ha), core, ha);
-                self.span_detail(sp, || format!("node{}", peer.0));
-                self.span_end(sp, p.resp_at_ha);
-                probes.push(p);
+                probes.push(self.snoop_peer::<TRACED>(peer, line, t_issue, Endpoint::Ha(ha), core, ha));
             }
         }
 
@@ -1744,25 +1341,16 @@ impl System {
                 self.recovery.dir_retries += 1;
                 let before = dram_done;
                 dram_done += self.timing.cal.t_mem_ctl;
-                self.span_leaf::<TRACED>("dir_ecc_reread", "mem", before, dram_done);
-                self.tap::<TRACED>("recovery.dir_rereads", before, 1);
-                self.log(dram_done, ProtoStep::DirectoryRetry);
+                let retry = Detail::Step(ProtoStep::DirectoryRetry);
+                self.emit::<TRACED>(Comp::DIR_ECC_REREAD, before, dram_done, retry);
             }
-            self.log(dram_done, ProtoStep::DirectoryRead { state: dir_prev });
-            self.span_leaf_with::<TRACED, _>("dir_read", "coherence", dram_done, dram_done, || {
-                format!("{dir_prev:?}")
-            });
-            self.tap::<TRACED>(
-                if dir_prev == DirState::RemoteInvalid {
-                    // Nobody remote holds the line — the speculative
-                    // memory read already has the data ("hit").
-                    "directory.remote_invalid"
-                } else {
-                    "directory.snoop_needed"
-                },
-                dram_done,
-                1,
-            );
+            let comp = if dir_prev == DirState::RemoteInvalid {
+                Comp::DIR_REMOTE_INVALID
+            } else {
+                Comp::DIR_SNOOP_NEEDED
+            };
+            let read = ProtoStep::DirectoryRead { state: dir_prev };
+            self.emit::<TRACED>(comp, dram_done, dram_done, Detail::Step(read));
             let dplan = ha_read_dir_plan(dir_prev, node, home, all);
             memory_reply_ok = dplan.memory_reply_ok;
             if !dplan.snoops.is_empty() {
@@ -1772,11 +1360,7 @@ impl System {
                     // Broadcast can only start once the directory (with the
                     // data) has been read.
                     let t_issue = dram_done + self.timing.cal.t_home_snoop_issue;
-                    let sp = self.span_begin::<TRACED>("snoop", "coherence", t_issue);
-                    let p = self.probe_peer::<TRACED>(peer, line, t_issue, Endpoint::Ha(ha), core, ha);
-                    self.span_detail(sp, || format!("node{}", peer.0));
-                    self.span_end(sp, p.resp_at_ha);
-                    probes.push(p);
+                    probes.push(self.snoop_peer::<TRACED>(peer, line, t_issue, Endpoint::Ha(ha), core, ha));
                 }
             }
         }
@@ -1807,11 +1391,11 @@ impl System {
                 let t_sent =
                     self.send::<TRACED>(t_mem_ready, Endpoint::Ha(ha), Endpoint::Core(core), self.cal.msg_data);
                 let done = t_sent + self.timing.cal.t_fill;
-                self.span_leaf::<TRACED>("fill", "core", t_sent, done);
+                self.emit::<TRACED>(Comp::FILL, t_sent, done, Detail::None);
                 if copies_remain {
                     self.stats.remote_dram_fwd += 1;
                 }
-                self.log(t_mem_ready, ProtoStep::MemoryReply);
+                self.emit::<TRACED>(Comp::STEP, t_mem_ready, t_mem_ready, Detail::Step(ProtoStep::MemoryReply));
                 (done, DataSource::Memory(home))
             }
         };
@@ -1819,7 +1403,7 @@ impl System {
         // Tracker slot held until the HA is done with the transaction.
         let ha_done = done.max(last_resp).max(dram_done);
         self.trackers[ha.0 as usize][remote_req as usize].occupy_until(ha_done);
-        self.span_end(ha_span, ha_done);
+        self.close(ha_span, ha_done);
 
         // --- state updates ---
         // Sharers may exist beyond what the probes saw: a shared-clean
@@ -1858,9 +1442,8 @@ impl System {
                     // AllocateShared: the entry is born clean, so a later
                     // read at the home agent can answer from memory
                     // without a broadcast (the Fig. 7 latency dip).
-                    self.span_leaf_with::<TRACED, _>("hitme_allocate_shared", "coherence", done, done, || {
-                        format!("requester=node{} home=node{}", node.0, home.0)
-                    });
+                    let alloc = Detail::Alloc { requester: node, home };
+                    self.emit::<TRACED>(Comp::HITME_ALLOCATE_SHARED, done, done, alloc);
                     hitme_live = true;
                 } else if hitme_hit.is_some() {
                     // An Exclusive grant can be upgraded to Modified
@@ -1886,10 +1469,10 @@ impl System {
     /// (`core`, `line`) will touch into its cache: the core's L1/L2 sets
     /// and every node's L3 slice set for the line (peer probes peek the
     /// remote slices too). Pure host-side hint — simulated state, timing,
-    /// and statistics are bit-for-bit unaffected. Issued by the batch
-    /// engine's staging pass a few accesses ahead of the walk loop, and
-    /// available to drivers (e.g. the workload proxies) whose dispatch
-    /// order is dynamic but whose next accesses are known early.
+    /// and statistics are bit-for-bit unaffected. For drivers whose
+    /// dispatch order is dynamic but whose next accesses are known early,
+    /// such as the workload proxies; the batch engine's staging pass
+    /// prefetches only L3 sets, through `SetAssocCache::prefetch_set`.
     #[inline]
     pub fn prefetch_access(&self, core: CoreId, line: LineAddr) {
         let ci = core.0 as usize;
@@ -1925,15 +1508,15 @@ impl System {
         t: SimTime,
     ) -> Result<AccessOutcome, SimError> {
         self.begin_walk();
-        if self.trace_armed() {
-            self.walk_span_open("write", t);
+        if self.obs.armed() {
+            let root = self.open::<true>(Comp::WRITE, t, Detail::None);
             let res = self.write_walk::<true>(core, line, t);
-            let res = self.end_walk(core, line, t, res);
-            self.walk_span_close(t, &res);
+            let res = self.end_walk::<true>(core, line, t, res);
+            self.obs.close_walk(root, t, &res);
             res
         } else {
             let res = self.write_walk::<false>(core, line, t);
-            self.end_walk(core, line, t, res)
+            self.end_walk::<false>(core, line, t, res)
         }
     }
 
@@ -1943,8 +1526,7 @@ impl System {
         line: LineAddr,
         t: SimTime,
     ) -> Result<AccessOutcome, SimError> {
-        if let Some(err) = self.walk_gate(core, line) {
-            self.tap_walk_abort::<TRACED>(&err, t);
+        if let Some(err) = self.walk_gate::<TRACED>(core, line, t) {
             return Err(err);
         }
         let ci = core.0 as usize;
@@ -2099,7 +1681,7 @@ impl System {
                     Endpoint::Slice(slice),
                     self.cal.msg_ctl,
                 );
-                self.span_leaf_with::<TRACED, _>("inv_core", "coherence", t_at, t_ack, || format!("core{}", c.0));
+                self.emit::<TRACED>(Comp::INV_CORE, t_at, t_ack, Detail::Core(c));
                 last = last.max(t_ack);
                 if let Some(meta) = self.l3[slice.0 as usize].peek_mut(line) {
                     meta.clear_core(i as u8);
@@ -2147,8 +1729,7 @@ impl System {
                 if meta.state.is_dirty() {
                     let ha = self.topo.ha_for_line(line);
                     let (wb_done, _) = self.mem[ha.0 as usize].access(t_at, line, true);
-                    self.span_leaf::<TRACED>("dram_wb", "mem", t_at, wb_done);
-                    self.tap_span::<TRACED>("dram.busy_ps", t_at, wb_done);
+                    self.emit::<TRACED>(Comp::DRAM_WB, t_at, wb_done, Detail::None);
                     self.stats.dram_writebacks += 1;
                 }
             }
@@ -2158,7 +1739,7 @@ impl System {
                 Endpoint::Slice(slice),
                 self.cal.msg_ctl,
             );
-            self.span_leaf_with::<TRACED, _>("inv_snoop", "coherence", t_at, t_ack, || format!("node{}", peer.0));
+            self.emit::<TRACED>(Comp::INV_SNOOP, t_at, t_ack, Detail::Node(peer));
             last = last.max(t_ack);
         }
         let _ = core;
@@ -2173,11 +1754,15 @@ impl System {
     /// so streaming writes cost one DRAM transfer instead of two — the
     /// classic STREAM-benchmark optimization.
     pub fn write_nt(&mut self, core: CoreId, line: LineAddr, t: SimTime) -> AccessOutcome {
-        if self.trace_armed() {
+        let out = if self.obs.armed() {
             self.write_nt_impl::<true>(core, line, t)
         } else {
             self.write_nt_impl::<false>(core, line, t)
-        }
+        };
+        // Infallible op: a link failure it hit is counted in
+        // `recovery.link_failures` but must not fail the next walk.
+        self.faults.link_failed = None;
+        out
     }
 
     fn write_nt_impl<const TRACED: bool>(
@@ -2207,14 +1792,12 @@ impl System {
         // memory, which is the back-pressure that bounds NT bandwidth to
         // the DRAM drain rate.
         let t_accept = self.wc_buf[ci].wait_for_slot(t_wc);
-        self.span_leaf::<TRACED>("wc_drain", "mem", t_wc, t_accept);
-        self.tap_span::<TRACED>("core.wc_drain_ps", t_wc, t_accept);
+        self.emit::<TRACED>(Comp::WC_DRAIN, t_wc, t_accept, Detail::None);
         let ha = self.topo.ha_for_line(line);
         let t_at_ha = self.send::<TRACED>(t_accept, Endpoint::Core(core), Endpoint::Ha(ha), self.cal.msg_data);
         let t_mem = t_at_ha + self.timing.cal.t_ha;
         let (drained, _) = self.mem[ha.0 as usize].access(t_mem, line, true);
-        self.span_leaf::<TRACED>("dram_row", "mem", t_mem, drained);
-        self.tap_span::<TRACED>("dram.busy_ps", t_mem, drained);
+        self.emit::<TRACED>(Comp::DRAM_ROW, t_mem, drained, Detail::None);
         self.wc_buf[ci].occupy_until(drained);
         self.stats.dram_writebacks += 1;
         if self.proto.directory {
@@ -2235,11 +1818,14 @@ impl System {
     /// cache in the system and write dirty data back to the home memory.
     /// Returns the completion time.
     pub fn flush(&mut self, core: CoreId, line: LineAddr, t: SimTime) -> SimTime {
-        if self.trace_armed() {
+        let done = if self.obs.armed() {
             self.flush_impl::<true>(core, line, t)
         } else {
             self.flush_impl::<false>(core, line, t)
-        }
+        };
+        // Infallible like `write_nt`: scope a link failure to this op.
+        self.faults.link_failed = None;
+        done
     }
 
     fn flush_impl<const TRACED: bool>(&mut self, core: CoreId, line: LineAddr, t: SimTime) -> SimTime {

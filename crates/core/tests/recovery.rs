@@ -90,6 +90,29 @@ fn crc_storm_exhausts_retry_buffer_into_typed_error() {
 }
 
 #[test]
+fn link_failure_in_write_nt_or_flush_is_not_charged_to_the_next_walk() {
+    type Op = fn(&mut System, LineAddr);
+    let ops: [(&str, Op); 2] = [
+        ("write_nt", |sys, line| {
+            sys.write_nt(CoreId(0), line, SimTime::ZERO);
+        }),
+        ("flush", |sys, line| {
+            sys.flush(CoreId(0), line, SimTime::ZERO);
+        }),
+    ];
+    for (name, op) in ops {
+        let mut sys = source_system();
+        let line = remote_line(&sys);
+        let max = sys.link_retry_policy().max_retries;
+        sys.inject_qpi_crc(max + 1);
+        op(&mut sys, line);
+        assert_eq!(sys.recovery.link_failures, 1, "{name}: the failure is still counted");
+        let local = sys.try_read(CoreId(5), LineAddr(77), SimTime::from_ns(1e6));
+        assert!(local.is_ok(), "{name}: unrelated local read failed: {:?}", local.err());
+    }
+}
+
+#[test]
 fn dir_and_hitme_glitches_heal_transparently() {
     let mut clean = cod_system();
     let mut faulty = cod_system();
