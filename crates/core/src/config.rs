@@ -6,7 +6,7 @@
 
 use crate::calib::Calib;
 use hswx_coherence::ProtocolConfig;
-use hswx_mem::{CacheGeometry, DdrTimings, Replacement};
+use hswx_mem::{CacheGeometry, DdrTimings, Replacement, MAX_WAYS};
 use hswx_topology::DieVariant;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -39,7 +39,8 @@ pub enum ConfigError {
         /// The rejected socket count.
         got: u8,
     },
-    /// A cache geometry is degenerate (zero ways, capacity below one set).
+    /// A cache geometry is degenerate (zero ways, more ways than a set
+    /// probe can tell apart, capacity below one set).
     CacheGeometry {
         /// Which cache: `"l1"`, `"l2"`, or `"l3_slice"`.
         cache: &'static str,
@@ -269,6 +270,9 @@ impl SystemConfig {
             };
             if g.ways == 0 {
                 return Err(reject("zero ways divides by zero in set indexing"));
+            }
+            if g.ways > MAX_WAYS {
+                return Err(reject("more than 32 ways alias in the u32 set-probe mask"));
             }
             // Recompute sets without CacheGeometry::sets() so a degenerate
             // geometry cannot panic before we report it.

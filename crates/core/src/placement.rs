@@ -17,7 +17,7 @@
 //! lines are *silent* (core-valid bits and directory state go stale exactly
 //! as on hardware), dirty demotions write back.
 
-use crate::batch::{Access, AccessOp, Issue};
+use crate::batch::{Access, AccessOp, Issue, BATCH_CHUNK};
 use crate::system::System;
 use hswx_engine::{SimDuration, SimTime};
 use hswx_mem::{CoreId, LineAddr};
@@ -60,8 +60,8 @@ impl Placement {
         level: Level,
         t0: SimTime,
     ) -> SimTime {
-        let mut accs: Vec<Access> = lines.iter().map(|&l| Access::write(core, l)).collect();
-        let t = Self::run_chain(sys, &mut accs, t0);
+        let writes = lines.iter().map(|&l| Access::write(core, l));
+        let t = Self::run_chain(sys, writes, t0);
         Self::demote(sys, core, lines, level, t)
     }
 
@@ -73,15 +73,12 @@ impl Placement {
         level: Level,
         t0: SimTime,
     ) -> SimTime {
-        let mut accs: Vec<Access> = Vec::with_capacity(lines.len() * 3);
-        accs.extend(lines.iter().map(|&l| Access::write(core, l)));
-        accs.extend(
-            lines
-                .iter()
-                .map(|&l| Access { core, line: l, op: AccessOp::Flush, issue: Issue::AfterPrev }),
-        );
-        accs.extend(lines.iter().map(|&l| Access::read(core, l)));
-        let t = Self::run_chain(sys, &mut accs, t0);
+        let writes = lines.iter().map(|&l| Access::write(core, l));
+        let flushes = lines
+            .iter()
+            .map(|&l| Access { core, line: l, op: AccessOp::Flush, issue: Issue::AfterPrev });
+        let reads = lines.iter().map(|&l| Access::read(core, l));
+        let t = Self::run_chain(sys, writes.chain(flushes).chain(reads), t0);
         Self::demote(sys, core, lines, level, t)
     }
 
@@ -99,11 +96,10 @@ impl Placement {
         // The first core caches the data in state Exclusive at the target
         // level (its copies remain, demoting to Shared as others read).
         let t = Self::exclusive(sys, cores[0], lines, level, t0);
-        let mut accs: Vec<Access> = cores[1..]
+        let reads = cores[1..]
             .iter()
-            .flat_map(|&c| lines.iter().map(move |&l| Access::read(c, l)))
-            .collect();
-        let t = Self::run_chain(sys, &mut accs, t);
+            .flat_map(|&c| lines.iter().map(move |&l| Access::read(c, l)));
+        let t = Self::run_chain(sys, reads, t);
         let mut t_end = t;
         for &c in cores {
             t_end = Self::demote(sys, c, lines, level, t_end);
@@ -132,14 +128,21 @@ impl Placement {
     /// completed — exactly the sequential `write`/`flush`/`read` loops
     /// this replaced, including their panic-on-protocol-error behavior.
     ///
-    /// Long chains are submitted in [`BATCH_CHUNK`]-sized chunks, each
-    /// re-anchored at the previous chunk's completion time, so the reply
-    /// buffers stay LLC-resident however large the placed working set is.
-    fn run_chain(sys: &mut System, accs: &mut [Access], t0: SimTime) -> SimTime {
+    /// The chain is streamed: one reused buffer of at most
+    /// [`BATCH_CHUNK`] accesses is refilled from `accs` and submitted,
+    /// each chunk re-anchored at the previous chunk's completion time, so
+    /// the host holds one chunk however large the placed working set is.
+    /// Any chunking of the chain is bit-identical: a chunk's `done` is the
+    /// completion time its successor's `AfterPrev` would have read.
+    fn run_chain(sys: &mut System, mut accs: impl Iterator<Item = Access>, t0: SimTime) -> SimTime {
+        let mut chunk: Vec<Access> = Vec::with_capacity(accs.size_hint().0.min(BATCH_CHUNK));
         let mut t = t0;
-        for chunk in accs.chunks_mut(crate::batch::BATCH_CHUNK) {
-            chunk[0].issue = Issue::At(t);
-            let out = sys.run_batch(chunk);
+        loop {
+            chunk.clear();
+            chunk.extend(accs.by_ref().take(BATCH_CHUNK));
+            let Some(first) = chunk.first_mut() else { break };
+            first.issue = Issue::At(t);
+            let out = sys.run_batch(&chunk);
             for r in &out.replies {
                 if let Err(e) = r {
                     panic!("simulation error: {}", e.diagnostic());

@@ -47,7 +47,10 @@ use std::path::Path;
 ///
 /// v4 removed them again with the sharded runtime, so the recovery
 /// section ends at `poison_blocked` as it did in v2.
-pub const SYSTEM_SNAPSHOT_SCHEMA: u32 = 4;
+///
+/// v5 stores each cache slot's one-byte LRU recency rank in place of its
+/// 64-bit access tick, and drops the per-cache tick counter.
+pub const SYSTEM_SNAPSHOT_SCHEMA: u32 = 5;
 
 fn corrupt(what: &'static str, detail: String) -> SnapshotError {
     SnapshotError::Corrupt { what, detail }
@@ -809,18 +812,22 @@ mod tests {
     #[test]
     fn older_schema_frames_are_rejected_with_a_typed_error() {
         let (sys, _) = warmed(CoherenceMode::SourceSnoop);
-        // Re-stamp a valid frame as v3 and re-seal its digest, so only
-        // the schema field is wrong.
-        let mut v3 = sys.snapshot();
-        v3[8..12].copy_from_slice(&3u32.to_le_bytes());
-        let body_end = v3.len() - 8;
-        let digest = fnv1a64(&v3[..body_end]);
-        v3[body_end..].copy_from_slice(&digest.to_le_bytes());
-        match System::restore(&v3).err() {
-            Some(SnapshotError::UnsupportedSchema { found: 3, expected }) => {
-                assert_eq!(expected, SYSTEM_SNAPSHOT_SCHEMA);
+        // Re-stamp a valid frame as v3 / v4 (v4 is the last tick-based
+        // cache layout) and re-seal its digest, so only the schema field
+        // is wrong.
+        for old in [3u32, 4] {
+            let mut frame = sys.snapshot();
+            frame[8..12].copy_from_slice(&old.to_le_bytes());
+            let body_end = frame.len() - 8;
+            let digest = fnv1a64(&frame[..body_end]);
+            frame[body_end..].copy_from_slice(&digest.to_le_bytes());
+            match System::restore(&frame).err() {
+                Some(SnapshotError::UnsupportedSchema { found, expected }) => {
+                    assert_eq!(found, old);
+                    assert_eq!(expected, SYSTEM_SNAPSHOT_SCHEMA);
+                }
+                other => panic!("v{old} frame must be refused by schema, got {other:?}"),
             }
-            other => panic!("v3 frame must be refused by schema, got {other:?}"),
         }
     }
 

@@ -143,6 +143,23 @@ fn regression_zero_size_l2() {
 }
 
 #[test]
+fn regression_forty_way_l2_aliased_ways() {
+    // Validated, then built a cache whose `u32` probe mask folded ways
+    // 32..40 onto 0..8: `peek` returned another line's payload.
+    let mut cfg = base();
+    cfg.l2 = CacheGeometry { size_bytes: 40 * 64 * 64, ways: 40 };
+    assert!(matches!(
+        rejected(cfg),
+        ConfigError::CacheGeometry { cache: "l2", ways: 40, .. }
+    ));
+    // The widest supported associativity still validates and builds.
+    let mut cfg = base();
+    cfg.l2 = CacheGeometry { size_bytes: 32 * 64 * 64, ways: 32 };
+    assert!(cfg.validate().is_ok());
+    assert!(System::try_new(cfg).is_ok());
+}
+
+#[test]
 fn regression_oversized_l3_slice_allocates_gigabytes() {
     // Nothing bounded the tag/state arrays: u64::MAX capacity asked the
     // host for more memory than exists before any access ran.

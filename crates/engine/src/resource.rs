@@ -145,22 +145,11 @@ impl ThroughputResource {
         }
         let mut start = now.0;
         // Intervals ending at or before `start` cannot constrain this
-        // transfer; binary-search past them (they are sorted and disjoint,
-        // so ends are sorted too). After the first overlap pushes `start`
-        // to an interval's end, every following interval ends later, so
-        // the skip condition can never recur mid-walk.
-        let mut i = {
-            let (mut lo, mut hi) = (0, self.intervals.len());
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if self.intervals[mid].1 <= start {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            lo
-        };
+        // transfer; skip past them (they are sorted and disjoint, so ends
+        // are sorted too). After the first overlap pushes `start` to an
+        // interval's end, every following interval ends later, so the
+        // skip condition can never recur mid-walk.
+        let mut i = self.first_ending_after(start);
         let mut insert_at = self.intervals.len();
         while i < self.intervals.len() {
             let (s, e) = self.intervals[i];
@@ -183,6 +172,39 @@ impl ThroughputResource {
         self.busy += dur;
         self.bytes += bytes;
         (SimTime(end), SimTime(start).since(now))
+    }
+
+    /// Index of the first interval ending after `t`: the
+    /// `partition_point` of `end <= t` over the sorted ends.
+    ///
+    /// Gallops backward from the tail in steps of 1, 2, 4, … intervals to
+    /// bracket the index, then binary-searches the bracket. A
+    /// booking that misses the monotone fast path is usually only a few
+    /// intervals behind the newest reservation, so this touches a handful
+    /// of entries where a full binary search over the capped deque takes
+    /// ten scattered probes.
+    fn first_ending_after(&self, t: u64) -> usize {
+        let mut hi = self.intervals.len();
+        let mut step = 1;
+        let mut lo = 0;
+        while step <= hi {
+            let probe = hi - step;
+            if self.intervals[probe].1 <= t {
+                lo = probe + 1;
+                break;
+            }
+            hi = probe;
+            step *= 2;
+        }
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.intervals[mid].1 <= t {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// Merge the interval at `idx` with touching neighbours.
@@ -762,6 +784,32 @@ mod proptests {
                 prop_assert_eq!(f, s);
             }
             prop_assert_eq!(fast.state_tuple(), slow.state_tuple());
+        }
+
+        /// The tail gallop finds the same index as `partition_point` on
+        /// random sorted, disjoint deques of up to 1100 intervals (past
+        /// the cap), for probe times before every interval, inside,
+        /// between and past them.
+        #[test]
+        fn gallop_matches_partition_point(
+            spans in proptest::collection::vec((0u64..5_000, 1u64..5_000), 0..1100),
+            probes in proptest::collection::vec(0u64..1_000, 1..40),
+        ) {
+            let mut r = ThroughputResource::new(5.0);
+            let mut t = 1_000u64;
+            for &(gap, len) in &spans {
+                r.intervals.push_back((t + gap, t + gap + len));
+                t += gap + len;
+            }
+            // Scale the probes over [0, t + 1000]: 0 lies before every
+            // interval (a far-past booking) and the top lies past them all.
+            for p in probes.iter().map(|&p| p * (t + 1_000) / 999).chain([0, t, t + 1]) {
+                prop_assert_eq!(
+                    r.first_ending_after(p),
+                    r.intervals.partition_point(|&(_, e)| e <= p),
+                    "probe {} over {} intervals", p, r.intervals.len()
+                );
+            }
         }
 
         /// Pre-rounded and unbooked sizes book exactly `for_bytes`, at

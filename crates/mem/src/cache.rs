@@ -8,7 +8,7 @@
 //! # Layout
 //!
 //! The array is stored *flat*: one contiguous `ways`-strided buffer per
-//! field (packed tags, LRU ticks, payloads) plus a per-set occupancy count,
+//! field (packed tags, LRU ranks, payloads) plus a per-set occupancy count,
 //! instead of a `Vec<Vec<Way>>` of heap-allocated sets. A set probe is one
 //! linear scan over at most `ways` adjacent `u64` tags — a single cache
 //! line or two of the *host* — where the nested layout cost a double
@@ -17,11 +17,23 @@
 //! victim choice under every policy — including the slot-indexed Random
 //! policy — is bit-identical to the original implementation (proved by the
 //! differential proptests against the retained [`reference`] oracle).
+//!
+//! True LRU keeps only each slot's *recency rank* inside its set — one
+//! byte per slot, 0 = least and `occ - 1` = most recently used. The
+//! reference orders ways by unique global access ticks; ranks keep
+//! exactly that order within a set, so the rank-0 slot is the reference's
+//! minimum-tick victim. Ranks fit a byte because associativity is capped
+//! at [`MAX_WAYS`].
 
 use crate::addr::LineAddr;
 use crate::geometry::CacheGeometry;
 use hswx_engine::snapshot::{SnapReader, SnapWriter, SnapshotError};
 use serde::{Deserialize, Serialize};
+
+/// Largest associativity a [`SetAssocCache`] supports: a set probe
+/// builds a `u32` match mask, the tree-PLRU state is a `u32`, and the
+/// per-slot LRU ranks are bytes.
+pub const MAX_WAYS: u32 = 32;
 
 /// Victim-selection policy.
 ///
@@ -49,7 +61,7 @@ pub enum Replacement {
 /// set, so stale tags past `occ` can never produce a false match.
 #[inline]
 fn probe_mask(tags: &[u64], tag: u64) -> u32 {
-    debug_assert!(tags.len() <= 32);
+    debug_assert!(tags.len() <= MAX_WAYS as usize);
     let mut mask = 0u32;
     let mut i = 0;
     while i + 4 <= tags.len() {
@@ -73,8 +85,9 @@ pub struct SetAssocCache<S> {
     /// Packed tags, `ways`-strided; slots `[set*ways, set*ways+occ[set])`
     /// are valid. This is the only array touched by a miss probe.
     tags: Vec<u64>,
-    /// LRU ticks, parallel to `tags`.
-    lru: Vec<u64>,
+    /// LRU recency ranks, parallel to `tags`: the occupied span of a set
+    /// holds a permutation of `0..occ`, 0 = LRU and `occ - 1` = MRU.
+    rank: Vec<u8>,
     /// Payloads, parallel to `tags` (`None` in unoccupied slots).
     states: Vec<Option<S>>,
     /// Occupied slots per set.
@@ -86,7 +99,6 @@ pub struct SetAssocCache<S> {
     /// `n_sets - 1` when the set count is a power of two, else `u64::MAX`
     /// as a "use modulo" sentinel (the HitME organization has 224 sets).
     set_mask: u64,
-    tick: u64,
     len: usize,
     policy: Replacement,
     rng_state: u64,
@@ -100,7 +112,17 @@ impl<S> SetAssocCache<S> {
     }
 
     /// An empty cache with an explicit replacement policy.
+    ///
+    /// # Panics
+    ///
+    /// If `geom.ways` exceeds [`MAX_WAYS`]: ways past the 32nd would alias
+    /// onto the first ones in every probe mask.
     pub fn with_policy(geom: CacheGeometry, policy: Replacement) -> Self {
+        assert!(
+            geom.ways <= MAX_WAYS,
+            "{}-way cache exceeds the {MAX_WAYS}-way maximum",
+            geom.ways
+        );
         let n_sets = geom.sets() as usize;
         let ways = geom.ways as usize;
         let slots = n_sets * ways;
@@ -108,7 +130,7 @@ impl<S> SetAssocCache<S> {
         states.resize_with(slots, || None);
         SetAssocCache {
             tags: vec![0; slots],
-            lru: vec![0; slots],
+            rank: vec![0; slots],
             states,
             occ: vec![0; n_sets],
             plru: vec![0; n_sets],
@@ -119,7 +141,6 @@ impl<S> SetAssocCache<S> {
             } else {
                 u64::MAX
             },
-            tick: 0,
             len: 0,
             policy,
             rng_state: 0x9E3779B97F4A7C15,
@@ -158,7 +179,7 @@ impl<S> SetAssocCache<S> {
     /// The way tree-PLRU would evict from `set` (only called on full sets).
     fn plru_victim(&self, set: usize) -> usize {
         if !self.ways.is_power_of_two() {
-            // NRU-ish fallback: oldest tick.
+            // NRU-ish fallback: least recently used.
             return self.min_lru_slot(set);
         }
         let bits = self.plru[set];
@@ -178,23 +199,13 @@ impl<S> SetAssocCache<S> {
         lo
     }
 
-    /// Set-relative slot holding the smallest LRU tick of a full set.
-    /// Ticks are unique, so this matches the old per-set `min_by_key`.
-    ///
-    /// Branchless select form: the strict `<` keeps the *first* minimum
-    /// exactly like [`Self::min_lru_slot_scalar`], but compiles to
-    /// conditional moves instead of a data-dependent branch per way.
+    /// Set-relative slot of the least recently used way of a non-empty
+    /// set: the one slot whose rank is 0 (ranks are a permutation of
+    /// `0..occ`).
     fn min_lru_slot(&self, set: usize) -> usize {
         let base = set * self.ways;
         let occ = self.occ[set] as usize;
-        let mut best = 0usize;
-        let mut best_lru = u64::MAX;
-        for (i, &l) in self.lru[base..base + occ].iter().enumerate() {
-            let better = l < best_lru;
-            best = if better { i } else { best };
-            best_lru = if better { l } else { best_lru };
-        }
-        best
+        self.rank[base..base + occ].iter().position(|&r| r == 0).unwrap_or(0)
     }
 
     /// The original early-exit-branch argmin, kept as the differential
@@ -204,14 +215,28 @@ impl<S> SetAssocCache<S> {
         let base = set * self.ways;
         let occ = self.occ[set] as usize;
         let mut best = 0usize;
-        let mut best_lru = u64::MAX;
-        for (i, &l) in self.lru[base..base + occ].iter().enumerate() {
-            if l < best_lru {
-                best_lru = l;
+        let mut best_rank = u8::MAX;
+        for (i, &r) in self.rank[base..base + occ].iter().enumerate() {
+            if r < best_rank {
+                best_rank = r;
                 best = i;
             }
         }
         best
+    }
+
+    /// Make the absolute slot `idx` of set `s` the most recently used:
+    /// every rank above its old one moves down by one and it takes the
+    /// top rank `occ - 1`.
+    #[inline]
+    fn promote(&mut self, s: usize, idx: usize) {
+        let base = s * self.ways;
+        let occ = self.occ[s] as usize;
+        let old = self.rank[idx];
+        for r in &mut self.rank[base..base + occ] {
+            *r -= u8::from(*r > old);
+        }
+        self.rank[idx] = (occ - 1) as u8;
     }
 
     fn next_rand(&mut self) -> u64 {
@@ -273,7 +298,7 @@ impl<S> SetAssocCache<S> {
             .map(|i| base + i)
     }
 
-    /// Hint the host CPU to pull `line`'s set metadata (tags, LRU ticks,
+    /// Hint the host CPU to pull `line`'s set metadata (tags, LRU ranks,
     /// payloads, occupancy, PLRU bits) into its cache ahead of an
     /// upcoming probe.
     ///
@@ -300,7 +325,7 @@ impl<S> SetAssocCache<S> {
                     _mm_prefetch::<_MM_HINT_T0>(tags.add(off));
                     off += 64;
                 }
-                _mm_prefetch::<_MM_HINT_T0>(self.lru.as_ptr().add(base) as *const i8);
+                _mm_prefetch::<_MM_HINT_T0>(self.rank.as_ptr().add(base) as *const i8);
                 _mm_prefetch::<_MM_HINT_T0>(self.states.as_ptr().add(base) as *const i8);
                 _mm_prefetch::<_MM_HINT_T0>(self.occ.as_ptr().add(set) as *const i8);
                 _mm_prefetch::<_MM_HINT_T0>(self.plru.as_ptr().add(set) as *const i8);
@@ -308,11 +333,6 @@ impl<S> SetAssocCache<S> {
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = line;
-    }
-
-    fn bump(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
     }
 
     /// Number of resident lines.
@@ -349,11 +369,10 @@ impl<S> SetAssocCache<S> {
 
     /// Access `line`: returns its payload and promotes it to MRU.
     pub fn access(&mut self, line: LineAddr) -> Option<&mut S> {
-        let tick = self.bump();
         let s = self.set_of(line);
         let idx = self.find(s, line.0)?;
         self.plru_touch(s, idx - s * self.ways);
-        self.lru[idx] = tick;
+        self.promote(s, idx);
         self.states[idx].as_mut()
     }
 
@@ -363,12 +382,11 @@ impl<S> SetAssocCache<S> {
     /// resident its payload is replaced (and returned as "evicted" with the
     /// same address) — callers that care should `access` first.
     pub fn insert(&mut self, line: LineAddr, state: S) -> Option<(LineAddr, S)> {
-        let tick = self.bump();
         let s = self.set_of(line);
         let base = s * self.ways;
         if let Some(idx) = self.find(s, line.0) {
             self.plru_touch(s, idx - base);
-            self.lru[idx] = tick;
+            self.promote(s, idx);
             let old = self.states[idx].replace(state).expect("resident slot");
             return Some((line, old));
         }
@@ -376,7 +394,7 @@ impl<S> SetAssocCache<S> {
         if occ < self.ways {
             let idx = base + occ;
             self.tags[idx] = line.0;
-            self.lru[idx] = tick;
+            self.rank[idx] = occ as u8;
             self.states[idx] = Some(state);
             self.occ[s] += 1;
             self.plru_touch(s, occ);
@@ -388,23 +406,28 @@ impl<S> SetAssocCache<S> {
         let idx = base + victim;
         let vtag = self.tags[idx];
         self.tags[idx] = line.0;
-        self.lru[idx] = tick;
+        self.promote(s, idx);
         let vstate = self.states[idx].replace(state).expect("full set slot");
         Some((LineAddr(vtag), vstate))
     }
 
     /// Remove the absolute slot `idx` of set `s` with `Vec::swap_remove`
-    /// semantics (the set's last slot moves into the hole).
+    /// semantics (the set's last slot moves into the hole, rank and all);
+    /// the ranks above the removed one close the gap.
     fn swap_remove_slot(&mut self, s: usize, idx: usize) -> S {
         let base = s * self.ways;
         let last = base + self.occ[s] as usize - 1;
         let state = self.states[idx].take().expect("occupied slot");
+        let removed = self.rank[idx];
         if idx != last {
             self.tags[idx] = self.tags[last];
-            self.lru[idx] = self.lru[last];
+            self.rank[idx] = self.rank[last];
             self.states[idx] = self.states[last].take();
         }
         self.occ[s] -= 1;
+        for r in &mut self.rank[base..last] {
+            *r -= u8::from(*r > removed);
+        }
         state
     }
 
@@ -457,7 +480,7 @@ impl<S> SetAssocCache<S> {
         out
     }
 
-    /// Encode the complete mutable state — occupancy, tags, LRU ticks,
+    /// Encode the complete mutable state — occupancy, tags, LRU ranks,
     /// PLRU bits, the replacement RNG stream, and every payload (packed to
     /// a `u64` by `enc`) — into `w`, in deterministic set-major slot order.
     ///
@@ -468,7 +491,6 @@ impl<S> SetAssocCache<S> {
     pub fn encode_snapshot(&self, w: &mut SnapWriter, mut enc: impl FnMut(&S) -> u64) {
         w.u64(self.n_sets as u64);
         w.u64(self.ways as u64);
-        w.u64(self.tick);
         w.u64(self.rng_state);
         for s in 0..self.n_sets {
             let base = s * self.ways;
@@ -477,7 +499,7 @@ impl<S> SetAssocCache<S> {
             w.u16(self.occ[s]);
             for idx in base..base + occ {
                 w.u64(self.tags[idx]);
-                w.u64(self.lru[idx]);
+                w.u8(self.rank[idx]);
                 w.u64(enc(self.states[idx].as_ref().expect("occupied slot")));
             }
         }
@@ -486,8 +508,9 @@ impl<S> SetAssocCache<S> {
     /// Overwrite this cache's state from a snapshot produced by
     /// [`encode_snapshot`](Self::encode_snapshot) on a cache of identical
     /// geometry. `dec` unpacks each payload word; returning `None` rejects
-    /// the word as corrupt. Geometry mismatches and over-full sets are
-    /// rejected rather than trusted.
+    /// the word as corrupt. Geometry mismatches, over-full sets and sets
+    /// whose ranks are not a permutation of `0..occ` are rejected rather
+    /// than trusted.
     pub fn decode_snapshot(
         &mut self,
         r: &mut SnapReader<'_>,
@@ -504,12 +527,11 @@ impl<S> SetAssocCache<S> {
                 ),
             });
         }
-        let tick = r.u64()?;
         let rng_state = r.u64()?;
         // Decode into scratch first so a corrupt frame leaves `self` intact.
         let slots = self.n_sets * self.ways;
         let mut tags = vec![0u64; slots];
-        let mut lru = vec![0u64; slots];
+        let mut rank = vec![0u8; slots];
         let mut states: Vec<Option<S>> = Vec::new();
         states.resize_with(slots, || None);
         let mut occ = vec![0u16; self.n_sets];
@@ -526,9 +548,21 @@ impl<S> SetAssocCache<S> {
             }
             occ[s] = set_occ;
             let base = s * self.ways;
+            // Occupancy is at most `MAX_WAYS`, so one bit per rank fits.
+            let mut seen = 0u32;
             for idx in base..base + set_occ as usize {
                 tags[idx] = r.u64()?;
-                lru[idx] = r.u64()?;
+                let rk = r.u8()?;
+                if u16::from(rk) >= set_occ || seen & (1 << rk) != 0 {
+                    return Err(SnapshotError::Corrupt {
+                        what: "cache LRU ranks",
+                        detail: format!(
+                            "set {s} rank {rk} is out of range or repeated for occupancy {set_occ}"
+                        ),
+                    });
+                }
+                seen |= 1 << rk;
+                rank[idx] = rk;
                 let word = r.u64()?;
                 states[idx] = Some(dec(word).ok_or_else(|| SnapshotError::Corrupt {
                     what: "cache payload",
@@ -538,11 +572,10 @@ impl<S> SetAssocCache<S> {
             }
         }
         self.tags = tags;
-        self.lru = lru;
+        self.rank = rank;
         self.states = states;
         self.occ = occ;
         self.plru = plru;
-        self.tick = tick;
         self.rng_state = rng_state;
         self.len = len;
         Ok(())
@@ -1010,6 +1043,77 @@ mod tests {
         // Set 0 holds lines 0, 4, 8; inserting 12 evicts the oldest (0).
         let (victim, _) = c.insert(LineAddr(12), 12).unwrap();
         assert_eq!(victim, LineAddr(0));
+    }
+
+    #[test]
+    fn widest_supported_set_keeps_every_way_distinct() {
+        // 1 set x 32 ways: every way has its own bit in the probe mask,
+        // and the rank-0 way is evicted after all 32 are filled.
+        let mut c: SetAssocCache<u32> =
+            SetAssocCache::new(CacheGeometry::new(MAX_WAYS as u64 * 64, MAX_WAYS));
+        for i in 0..u64::from(MAX_WAYS) {
+            assert!(c.insert(LineAddr(i), i as u32).is_none());
+        }
+        for i in 0..u64::from(MAX_WAYS) {
+            assert_eq!(c.peek(LineAddr(i)), Some(&(i as u32)), "way {i}");
+        }
+        c.access(LineAddr(0));
+        assert_eq!(c.insert(LineAddr(99), 99), Some((LineAddr(1), 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 32-way maximum")]
+    fn more_than_max_ways_is_refused() {
+        // Ways 32..40 would alias onto 0..8 in the u32 probe mask.
+        let _: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(40 * 64, 40));
+    }
+
+    /// Encode a 1-set x 4-way cache holding lines 0..3, then overwrite
+    /// the rank byte of the slot at `slot` with `rank`. Each slot is
+    /// tag (8 B), rank (1 B), payload (8 B), after a 30-byte prefix of
+    /// geometry, RNG state, PLRU bits and occupancy.
+    fn frame_with_rank(slot: usize, rank: u8) -> Vec<u8> {
+        let mut a: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(4 * 64, 4));
+        for i in 0..3u64 {
+            a.insert(LineAddr(i), i as u32);
+        }
+        let mut w = SnapWriter::new(1);
+        let start = w.position();
+        a.encode_snapshot(&mut w, |&v| v as u64);
+        let rank_at = start + 8 + 8 + 8 + 4 + 2 + slot * 17 + 8;
+        let mut frame = w.finish();
+        frame[rank_at] = rank;
+        // Re-seal the frame digest so only the rank byte is wrong.
+        let body_end = frame.len() - 8;
+        let digest = hswx_engine::fnv1a64(&frame[..body_end]);
+        frame[body_end..].copy_from_slice(&digest.to_le_bytes());
+        frame
+    }
+
+    #[test]
+    fn snapshot_ranks_must_be_a_permutation() {
+        // Unedited frame: ranks 0, 1, 2 decode fine.
+        let mut ok: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(4 * 64, 4));
+        let good = frame_with_rank(2, 2);
+        let mut r = SnapReader::open_expecting(&good, 1).unwrap();
+        ok.decode_snapshot(&mut r, |v| u32::try_from(v).ok()).unwrap();
+        assert_eq!(ok.len(), 3);
+        // A duplicate rank and a rank >= occupancy are both corrupt.
+        for (slot, rank) in [(2, 0), (0, 1), (1, 3), (0, 255)] {
+            let frame = frame_with_rank(slot, rank);
+            let mut b: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(4 * 64, 4));
+            b.insert(LineAddr(7), 7);
+            let mut r = SnapReader::open_expecting(&frame, 1).unwrap();
+            let err = b.decode_snapshot(&mut r, |v| u32::try_from(v).ok()).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Corrupt { what: "cache LRU ranks", .. }),
+                "slot {slot} rank {rank}: {err}"
+            );
+            // The rejected frame left the target untouched.
+            assert_eq!(b.len(), 1);
+            assert_eq!(b.peek(LineAddr(7)), Some(&7));
+            assert!(!b.contains(LineAddr(0)));
+        }
     }
 }
 

@@ -24,6 +24,6 @@ pub mod ids;
 
 pub use addr::{Addr, LineAddr, CACHE_LINE_BYTES};
 pub use ids::{CoreId, HaId, NodeId, SliceId, SocketId};
-pub use cache::{Replacement, SetAssocCache};
+pub use cache::{Replacement, SetAssocCache, MAX_WAYS};
 pub use dram::{DdrTimings, DramChannel, MemoryController, RowOutcome};
 pub use geometry::CacheGeometry;

@@ -39,11 +39,11 @@ pub struct AppProxy {
     pub comp_ns: f64,
 }
 
-struct ThreadState {
+struct ThreadState<'b> {
     core: CoreId,
-    local: Buffer,
+    local: &'b Buffer,
     /// Buffer of another thread (for the 1-locality remote fraction).
-    remote: Buffer,
+    remote: &'b Buffer,
     issue_t: SimTime,
     window: TimedPool,
     remaining: usize,
@@ -57,7 +57,7 @@ struct ThreadState {
     next: Option<(LineAddr, bool)>,
 }
 
-impl ThreadState {
+impl ThreadState<'_> {
     /// Draw the thread's next access class (advances `seq` and the RNG
     /// exactly like the old in-loop selection).
     fn draw_next(&mut self, app: &AppProxy, shared: &[LineAddr]) -> (LineAddr, bool) {
@@ -114,8 +114,8 @@ pub fn run_proxy(app: &AppProxy, mode: CoherenceMode, accesses: usize, seed: u64
     let mut threads: Vec<ThreadState> = (0..n)
         .map(|i| ThreadState {
             core: cores[i],
-            local: locals[i].clone(),
-            remote: locals[(i + n / 2) % n].clone(),
+            local: &locals[i],
+            remote: &locals[(i + n / 2) % n],
             issue_t: t0,
             window: TimedPool::new(app.window.max(1) as usize),
             remaining: accesses,
